@@ -11,6 +11,9 @@
  * Usage: fig5_cycle_accounting [--json <path>] [--with-ds]
  *                              [benchmark-name ...]
  *
+ * Each benchmark name is a substring filter; one that matches no
+ * workload, or an unknown option, is rejected with exit status 2.
+ *
  * --with-ds appends an ILP-CS-DS column (data speculation): its bar
  * adds the tenth category, ALAT recovery, which stays empty when every
  * chk.a hits and charges misses x alat_recovery_cycles otherwise.
@@ -18,10 +21,18 @@
 #include <cstdio>
 
 #include "driver/experiment.h"
+#include "support/cli.h"
 #include "support/stats.h"
 #include "support/telemetry/artifact.h"
 
 using namespace epic;
+
+namespace {
+
+const char *const kUsage = "usage: fig5_cycle_accounting [--json <path>] "
+                           "[--with-ds] [benchmark-name ...]";
+
+} // namespace
 
 int
 main(int argc, char **argv)
@@ -30,12 +41,18 @@ main(int argc, char **argv)
     std::string json_path;
     bool with_ds = false;
     for (int i = 1; i < argc; ++i) {
-        if (std::string(argv[i]) == "--json" && i + 1 < argc)
+        const std::string a = argv[i];
+        if (a == "--json" && i + 1 < argc)
             json_path = argv[++i];
-        else if (std::string(argv[i]) == "--with-ds")
+        else if (a == "--with-ds")
             with_ds = true;
+        else if (a[0] == '-')
+            usageError(kUsage, "unknown option or missing value: '" + a +
+                                   "'");
+        else if (matchWorkloads({a}).empty())
+            usageError(kUsage, "'" + a + "' matches no workload");
         else
-            only.push_back(argv[i]);
+            only.push_back(a);
     }
 
     printf("Figure 5: cycle accounting, normalized to O-NS total\n\n");
@@ -45,15 +62,8 @@ main(int argc, char **argv)
     if (with_ds)
         configs.push_back(Config::IlpCsDs);
     std::vector<WorkloadRuns> suite;
-    for (const Workload &w : allWorkloads()) {
-        if (!only.empty()) {
-            bool match = false;
-            for (const std::string &n : only)
-                if (w.name.find(n) != std::string::npos)
-                    match = true;
-            if (!match)
-                continue;
-        }
+    for (const Workload *wp : matchWorkloads(only)) {
+        const Workload &w = *wp;
         WorkloadRuns runs = runWorkload(w, configs);
         double base =
             static_cast<double>(runs.by_config.at(Config::ONS).pm.total());

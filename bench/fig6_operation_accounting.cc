@@ -6,14 +6,25 @@
  * (paper: 2.00/1.10 O-NS, 2.21/1.12 ILP-NS, 2.63/1.23 ILP-CS averages).
  *
  * Usage: fig6_operation_accounting [--json <path>] [benchmark-name ...]
+ *
+ * Each benchmark name is a substring filter; one that matches no
+ * workload, or an unknown option, is rejected with exit status 2.
  */
 #include <cstdio>
 
 #include "driver/experiment.h"
+#include "support/cli.h"
 #include "support/stats.h"
 #include "support/telemetry/artifact.h"
 
 using namespace epic;
+
+namespace {
+
+const char *const kUsage = "usage: fig6_operation_accounting "
+                           "[--json <path>] [benchmark-name ...]";
+
+} // namespace
 
 int
 main(int argc, char **argv)
@@ -21,10 +32,16 @@ main(int argc, char **argv)
     std::vector<std::string> only;
     std::string json_path;
     for (int i = 1; i < argc; ++i) {
-        if (std::string(argv[i]) == "--json" && i + 1 < argc)
+        const std::string a = argv[i];
+        if (a == "--json" && i + 1 < argc)
             json_path = argv[++i];
+        else if (a[0] == '-')
+            usageError(kUsage, "unknown option or missing value: '" + a +
+                                   "'");
+        else if (matchWorkloads({a}).empty())
+            usageError(kUsage, "'" + a + "' matches no workload");
         else
-            only.push_back(argv[i]);
+            only.push_back(a);
     }
 
     printf("Figure 6: operation accounting and IPC\n\n");
@@ -34,15 +51,8 @@ main(int argc, char **argv)
     std::map<Config, std::vector<double>> planned_ipcs, achieved_ipcs;
     std::vector<WorkloadRuns> suite;
 
-    for (const Workload &w : allWorkloads()) {
-        if (!only.empty()) {
-            bool match = false;
-            for (const std::string &n : only)
-                if (w.name.find(n) != std::string::npos)
-                    match = true;
-            if (!match)
-                continue;
-        }
+    for (const Workload *wp : matchWorkloads(only)) {
+        const Workload &w = *wp;
         WorkloadRuns runs = runWorkload(w, configs);
         double base = static_cast<double>(
             runs.by_config.at(Config::ONS).pm.useful_ops);

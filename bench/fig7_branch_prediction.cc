@@ -12,11 +12,15 @@
  * the declared reconciliation invariant guarantees equals the aggregate
  * Perfmon counters — and the per-site attribution feeds the
  * hot-mispredicted-branches section below the table.
+ *
+ * Usage: fig7_branch_prediction [--json <path>]
+ * Any other argument is rejected with exit status 2.
  */
 #include <algorithm>
 #include <cstdio>
 
 #include "driver/experiment.h"
+#include "support/cli.h"
 #include "support/stats.h"
 #include "support/telemetry/artifact.h"
 
@@ -39,9 +43,14 @@ int
 main(int argc, char **argv)
 {
     std::string json_path;
-    for (int i = 1; i < argc; ++i)
-        if (std::string(argv[i]) == "--json" && i + 1 < argc)
+    for (int i = 1; i < argc; ++i) {
+        const std::string a = argv[i];
+        if (a == "--json" && i + 1 < argc)
             json_path = argv[++i];
+        else
+            usageError("usage: fig7_branch_prediction [--json <path>]",
+                       "unknown argument or missing value: '" + a + "'");
+    }
 
     printf("Figure 7: effects on branches and prediction\n\n");
 

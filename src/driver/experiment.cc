@@ -1,5 +1,6 @@
 #include "driver/experiment.h"
 
+#include <atomic>
 #include <cstdlib>
 #include <cstring>
 
@@ -23,11 +24,21 @@ standardConfigs()
 
 namespace {
 
+/** Trace label "<phase> <workload>" ("" when tracing is off). */
+std::string
+phaseLabel(const char *phase, const Workload &w)
+{
+    if (!TraceRecorder::global().enabled())
+        return {};
+    return std::string(phase) + " " + w.name;
+}
+
 /** Build + profile a fresh source program for a workload. */
 std::unique_ptr<Program>
 buildProfiled(const Workload &w, const RunOptions &opts,
               std::string *error)
 {
+    TraceSpan span("experiment.phase", phaseLabel("build+profile", w));
     auto prog = w.build();
     prog->layoutData();
     Memory mem;
@@ -289,10 +300,21 @@ superviseSim(const Workload &w, Config cfg, const RunOptions &opts,
     }
 }
 
-} // namespace
-
+/** The record of a configuration whose shared profile run failed. */
 ConfigRun
-runConfig(const Workload &w, Config cfg, const RunOptions &opts)
+profileFailed(Config cfg, const std::string &error)
+{
+    ConfigRun out;
+    out.config = cfg;
+    out.error = error;
+    out.sim_status = RunStatus::Faulted;
+    return out;
+}
+
+/** Compile a profiled source under one configuration and simulate it. */
+ConfigRun
+compileAndRun(const Workload &w, Config cfg, const Program &src,
+              const RunOptions &opts)
 {
     ConfigRun out;
     out.config = cfg;
@@ -307,18 +329,6 @@ runConfig(const Workload &w, Config cfg, const RunOptions &opts)
     };
     TraceSpan run_span("experiment", phase_label("run"));
 
-    std::string err;
-    std::unique_ptr<Program> src;
-    {
-        TraceSpan span("experiment.phase", phase_label("build+profile"));
-        src = buildProfiled(w, opts, &err);
-    }
-    if (!src) {
-        out.error = err;
-        out.sim_status = RunStatus::Faulted;
-        return out;
-    }
-
     CompileOptions copts = CompileOptions::forConfig(cfg);
     copts.jobs = opts.jobs;
     // --max-mem-pages covers compile-side arenas like sim heap pages.
@@ -327,7 +337,7 @@ runConfig(const Workload &w, Config cfg, const RunOptions &opts)
         opts.tweak(copts);
     Compiled c;
     try {
-        c = compileProgram(*src, copts);
+        c = compileProgram(src, copts);
     } catch (const ArenaBudgetExceeded &e) {
         out.ok = false;
         out.sim_status = RunStatus::BudgetExceeded;
@@ -379,61 +389,48 @@ runConfig(const Workload &w, Config cfg, const RunOptions &opts)
     return out;
 }
 
-std::vector<WorkloadRuns>
-runSuite(const std::vector<Config> &configs, const RunOptions &opts,
-         const std::function<void(const WorkloadRuns &)> &progress)
+/**
+ * One workload's share of a run: its source truth, plus the single
+ * profiled program that all of its configuration tasks compile from.
+ * compileProgram only reads its source (through Program::clone), so
+ * concurrent tasks share `profiled` without copying it.
+ */
+struct Prepared
 {
-    const std::vector<Workload> &all = allWorkloads();
-    // --only substring filters (suite order is preserved).
-    std::vector<const Workload *> suite;
-    for (const Workload &w : all) {
-        bool take = opts.only.empty();
-        for (const std::string &pat : opts.only)
-            if (w.name.find(pat) != std::string::npos)
-                take = true;
-        if (take)
-            suite.push_back(&w);
-    }
+    const Workload *w = nullptr;
+    WorkloadRuns runs;          ///< name, source_checksum, error
+    bool source_failed = false; ///< runs.error needs a warning
+    RunOptions opts;            ///< + expected_checksum when supervised
+    std::unique_ptr<Program> profiled;
+    std::string profile_error;
+    std::vector<ConfigRun> results; ///< one slot per configuration
+    /// Configuration tasks still running; the last one to finish
+    /// frees `profiled`, so a fleet does not hold every workload's
+    /// profiled program until the end.
+    std::atomic<int> pending{0};
+};
 
-    std::vector<WorkloadRuns> out(suite.size());
-    // Workloads fan out over the pool; results land in suite order, so
-    // the report is byte-identical to a serial run. Progress feedback
-    // streams per workload when serial, after the join when parallel.
-    parallelFor(opts.jobs, static_cast<int>(suite.size()), [&](int i) {
-        if (stopped()) {
-            out[i].name = suite[i]->name;
-            out[i].error = "interrupted by stop request";
-            return;
-        }
-        out[i] = runWorkload(*suite[i], configs, opts);
-        if (progress && opts.jobs <= 1)
-            progress(out[i]);
-    });
-    if (progress && opts.jobs > 1)
-        for (const WorkloadRuns &r : out)
-            progress(r);
-    return out;
-}
-
-WorkloadRuns
-runWorkload(const Workload &w, const std::vector<Config> &configs,
-            const RunOptions &opts)
+/**
+ * Phase 1: the source-truth run, the records a resumed manifest
+ * already holds and — when any configuration still has to run — one
+ * build + profile run on the profile input.
+ */
+void
+prepare(Prepared &p, const Workload &w, const std::vector<Config> &configs,
+        const RunOptions &opts)
 {
-    WorkloadRuns out;
-    out.name = w.name;
-
+    p.w = &w;
+    p.runs.name = w.name;
+    p.opts = opts;
     if (stopped()) {
-        out.error = "interrupted by stop request";
-        return out;
+        p.runs.error = "interrupted by stop request";
+        return;
     }
 
     // Source truth: functional run of the unoptimized program on the
     // measurement input.
     {
-        TraceSpan span("experiment.phase",
-                       TraceRecorder::global().enabled()
-                           ? "source-run " + w.name
-                           : std::string());
+        TraceSpan span("experiment.phase", phaseLabel("source-run", w));
         auto prog = w.build();
         prog->layoutData();
         Memory mem;
@@ -443,80 +440,161 @@ runWorkload(const Workload &w, const std::vector<Config> &configs,
         if (!r.ok) {
             // Recoverable: the harness reports the workload as failed
             // instead of killing the whole suite.
-            out.error = "source program failed: " + r.error;
-            epic_warn(w.name, ": ", out.error);
-            return out;
+            p.runs.error = "source program failed: " + r.error;
+            p.source_failed = true;
+            return;
         }
-        out.source_checksum = r.ret_value;
+        p.runs.source_checksum = r.ret_value;
     }
 
     // Supervised runs validate every accepted result against the
     // source truth (silent-corruption detection drives retry).
-    RunOptions wopts = opts;
     if (opts.supervise)
-        wopts.expected_checksum = out.source_checksum;
+        p.opts.expected_checksum = p.runs.source_checksum;
 
-    // Configurations are independent (each builds its own profiled
-    // source); fan them out, then merge and report in `configs` order
-    // so the aggregate — and even the warning stream — is identical to
-    // a serial run.
-    std::vector<ConfigRun> results(configs.size());
-    parallelFor(
-        opts.jobs, static_cast<int>(configs.size()), [&](int i) {
-            const Config cfg = configs[i];
-            const std::string key =
-                opts.manifest ? manifestKey(w, cfg, opts)
-                              : std::string();
-            if (opts.manifest && opts.resume) {
-                if (const std::string *rec = opts.manifest->find(key)) {
-                    ConfigRun r;
-                    r.config = cfg;
-                    r.resumed = true;
-                    r.record_json = *rec;
-                    r.ok = recordSaysOk(*rec);
-                    r.checksum = recordChecksum(*rec);
-                    if (!r.ok)
-                        r.error = "failed in a previous run (resumed "
-                                  "manifest record)";
-                    results[i] = std::move(r);
-                    return;
-                }
-            }
-            if (stopped()) {
-                results[i].config = cfg;
-                results[i].sim_status = RunStatus::Deadline;
-                results[i].error = "interrupted by stop request";
-                return;
-            }
-            results[i] = runConfig(w, cfg, wopts);
-            // Durable completion record — appended (and fsync'd) the
-            // moment the task finishes, so a later kill -9 cannot lose
-            // it. Results produced after a stop request are not
-            // recorded: they may be partial (Deadline) and will simply
-            // re-run on resume.
-            if (opts.manifest && !(stopped() && !results[i].ok))
-                opts.manifest->record(
-                    key, runRecordJson(w.name, out.source_checksum,
-                                       results[i]));
-        });
-
-    out.all_match = true;
+    bool need_profile = false;
+    p.results.resize(configs.size());
     for (size_t i = 0; i < configs.size(); ++i) {
-        const Config cfg = configs[i];
-        ConfigRun &r = results[i];
+        ConfigRun &r = p.results[i];
+        r.config = configs[i];
+        const std::string *rec =
+            opts.manifest && opts.resume
+                ? opts.manifest->find(manifestKey(w, configs[i], opts))
+                : nullptr;
+        if (!rec) {
+            need_profile = true;
+            continue;
+        }
+        r.resumed = true;
+        r.record_json = *rec;
+        r.ok = recordSaysOk(*rec);
+        r.checksum = recordChecksum(*rec);
+        if (!r.ok)
+            r.error = "failed in a previous run (resumed manifest record)";
+    }
+    if (need_profile)
+        p.profiled = buildProfiled(w, opts, &p.profile_error);
+    p.pending = static_cast<int>(configs.size());
+}
+
+/**
+ * Phase 2: one (workload x config) task. Compiles the shared profiled
+ * program and simulates it, then appends the durable manifest record.
+ */
+void
+runTask(Prepared &p, size_t i)
+{
+    ConfigRun &r = p.results[i];
+    if (!r.resumed && stopped()) {
+        r.sim_status = RunStatus::Deadline;
+        r.error = "interrupted by stop request";
+    } else if (!r.resumed) {
+        const Config cfg = r.config;
+        r = p.profiled ? compileAndRun(*p.w, cfg, *p.profiled, p.opts)
+                       : profileFailed(cfg, p.profile_error);
+        // Durable completion record — appended (and fsync'd) the moment
+        // the task finishes, so a later kill -9 cannot lose it. Results
+        // produced after a stop request are not recorded: they may be
+        // partial (Deadline) and will simply re-run on resume.
+        if (p.opts.manifest && !(stopped() && !r.ok))
+            p.opts.manifest->record(
+                manifestKey(*p.w, cfg, p.opts),
+                runRecordJson(p.w->name, p.runs.source_checksum, r));
+    }
+    if (--p.pending == 0)
+        p.profiled.reset();
+}
+
+/**
+ * After a workload's tasks finished: fold its results in `configs`
+ * order and emit its warnings, so aggregates and the warning stream
+ * never depend on the schedule.
+ */
+WorkloadRuns
+merge(Prepared &p)
+{
+    WorkloadRuns out = std::move(p.runs);
+    if (p.source_failed)
+        epic_warn(out.name, ": ", out.error);
+    if (!out.error.empty())
+        return out;
+    out.all_match = true;
+    for (ConfigRun &r : p.results) {
+        const Config cfg = r.config;
         out.fallback.merge(r.fallback);
         out.pipeline.merge(r.pipeline);
         if (!r.ok) {
-            epic_warn(w.name, " [", configName(cfg), "]: ", r.error);
+            epic_warn(out.name, " [", configName(cfg), "]: ", r.error);
             out.all_match = false;
         } else if (r.checksum != out.source_checksum) {
-            epic_warn(w.name, " [", configName(cfg),
+            epic_warn(out.name, " [", configName(cfg),
                       "]: checksum mismatch (", r.checksum, " vs ",
                       out.source_checksum, ")");
             out.all_match = false;
         }
         out.by_config.emplace(cfg, std::move(r));
     }
+    return out;
+}
+
+} // namespace
+
+ConfigRun
+runConfig(const Workload &w, Config cfg, const RunOptions &opts)
+{
+    std::string err;
+    std::unique_ptr<Program> src = buildProfiled(w, opts, &err);
+    return src ? compileAndRun(w, cfg, *src, opts) : profileFailed(cfg, err);
+}
+
+WorkloadRuns
+runWorkload(const Workload &w, const std::vector<Config> &configs,
+            const RunOptions &opts)
+{
+    Prepared p;
+    prepare(p, w, configs, opts);
+    parallelFor(opts.jobs, static_cast<int>(p.results.size()),
+                [&](int i) { runTask(p, i); });
+    return merge(p);
+}
+
+std::vector<WorkloadRuns>
+runSuite(const std::vector<Config> &configs, const RunOptions &opts,
+         const std::function<void(const WorkloadRuns &)> &progress)
+{
+    const std::vector<const Workload *> suite = matchWorkloads(opts.only);
+    const int n = static_cast<int>(suite.size());
+
+    std::vector<Prepared> prep(n);
+    parallelFor(opts.jobs, n,
+                [&](int i) { prepare(prep[i], *suite[i], configs, opts); });
+
+    // One flat schedule of every (workload x config) task, workload-
+    // major, so the pool stays busy across workload boundaries.
+    std::vector<std::pair<int, int>> tasks;
+    for (int i = 0; i < n; ++i)
+        for (size_t c = 0; c < prep[i].results.size(); ++c)
+            tasks.emplace_back(i, static_cast<int>(c));
+
+    // Merge in suite order: a serial run merges (and reports) each
+    // workload as soon as its last task finished, a parallel run after
+    // the join.
+    std::vector<WorkloadRuns> out(n);
+    int merged = 0;
+    auto merge_ready = [&] {
+        for (; merged < n && prep[merged].pending == 0; ++merged) {
+            out[merged] = merge(prep[merged]);
+            if (progress)
+                progress(out[merged]);
+        }
+    };
+    const bool serial = opts.jobs <= 1;
+    parallelFor(opts.jobs, static_cast<int>(tasks.size()), [&](int t) {
+        runTask(prep[tasks[t].first], tasks[t].second);
+        if (serial)
+            merge_ready();
+    });
+    merge_ready();
     return out;
 }
 

@@ -1,8 +1,8 @@
 /**
  * @file
  * Experiment harness shared by every table/figure reproduction binary:
- * build a workload, profile it on the train input, compile it under one
- * or more configurations, simulate on the ref input, and validate that
+ * build a workload, profile it once on the train input, compile it under
+ * one or more configurations, simulate on the ref input, and validate that
  * every configuration computes the same architected checksum as the
  * source program.
  */
@@ -154,11 +154,21 @@ struct WorkloadRuns
     PipelineStats pipeline;
 };
 
-/** Run one workload under one configuration. */
+/**
+ * Run one workload under one configuration: build and profile its own
+ * source, compile, simulate. No source-truth run and no validation.
+ */
 ConfigRun runConfig(const Workload &w, Config cfg,
                     const RunOptions &opts = {});
 
-/** Run one workload under a set of configurations (with validation). */
+/**
+ * Run one workload under a set of configurations (with validation).
+ * The workload is built and profiled once; every configuration
+ * compiles from that profiled program, the configurations fan out over
+ * `opts.jobs` workers, and the results merge in `configs` order.
+ * Warnings (a failed source run, each failed or mismatching
+ * configuration) are emitted in that order after the join.
+ */
 WorkloadRuns runWorkload(const Workload &w,
                          const std::vector<Config> &configs,
                          const RunOptions &opts = {});
@@ -167,8 +177,16 @@ WorkloadRuns runWorkload(const Workload &w,
 const std::vector<Config> &standardConfigs();
 
 /**
- * Run the whole suite under the given configurations; `progress`
- * (optional) is invoked per workload for console feedback.
+ * Run the whole suite under the given configurations as runWorkload
+ * does each workload, in two parallel phases over `opts.jobs` workers:
+ * first every workload's source run and single profile run, then all
+ * (workload x config) tasks as one flat, workload-major schedule. A
+ * workload's profiled program is freed when its last task finishes.
+ * Workloads merge in suite order, so results and the warning stream
+ * are identical for any jobs value. `progress` (optional) is invoked
+ * per workload in suite order, after its warnings: at jobs <= 1 as
+ * soon as that workload's last task completes, otherwise after the
+ * join.
  */
 std::vector<WorkloadRuns>
 runSuite(const std::vector<Config> &configs, const RunOptions &opts = {},

@@ -1,6 +1,7 @@
 #include "support/cli.h"
 
 #include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 
 #include "support/logging.h"
@@ -37,6 +38,13 @@ parseFloatFlag(const char *flag, const char *text, double min, double max)
         epic_fatal(flag, ": ", text, " out of range [", min, ", ", max,
                    "]");
     return v;
+}
+
+void
+usageError(const char *usage, const std::string &msg)
+{
+    std::fprintf(stderr, "%s\n%s\n", msg.c_str(), usage);
+    std::exit(2);
 }
 
 } // namespace epic

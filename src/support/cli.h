@@ -12,6 +12,7 @@
 #define EPIC_SUPPORT_CLI_H
 
 #include <cstdint>
+#include <string>
 
 namespace epic {
 
@@ -26,6 +27,12 @@ int64_t parseIntFlag(const char *flag, const char *text, int64_t min,
 /** Same discipline for a floating-point flag value in [min, max]. */
 double parseFloatFlag(const char *flag, const char *text, double min,
                       double max);
+
+/**
+ * Reject a command line: print `msg`, then the `usage` line, to stderr
+ * and exit 2. For unknown options and arguments that select nothing.
+ */
+[[noreturn]] void usageError(const char *usage, const std::string &msg);
 
 } // namespace epic
 

@@ -51,6 +51,13 @@ const std::vector<Workload> &allWorkloads();
 /** Lookup by (exact) name; null when absent. */
 const Workload *findWorkload(const std::string &name);
 
+/**
+ * The workloads whose name contains any of `filters` as a substring,
+ * in suite order; the whole suite when `filters` is empty.
+ */
+std::vector<const Workload *>
+matchWorkloads(const std::vector<std::string> &filters);
+
 // Individual constructors (one per translation unit).
 Workload makeGzip();
 Workload makeVpr();

@@ -37,4 +37,19 @@ findWorkload(const std::string &name)
     return nullptr;
 }
 
+std::vector<const Workload *>
+matchWorkloads(const std::vector<std::string> &filters)
+{
+    std::vector<const Workload *> out;
+    for (const Workload &w : allWorkloads()) {
+        bool take = filters.empty();
+        for (const std::string &f : filters)
+            if (w.name.find(f) != std::string::npos)
+                take = true;
+        if (take)
+            out.push_back(&w);
+    }
+    return out;
+}
+
 } // namespace epic

@@ -1,0 +1,141 @@
+/**
+ * @file
+ * Fleet schedule tests: runWorkload/runSuite profile each workload once
+ * and compile every configuration from that one profiled program, and
+ * runSuite runs all (workload x config) tasks as one flat schedule.
+ * Records must equal those of per-config runConfig calls (each builds
+ * and profiles its own source), and records plus the warning stream
+ * must not depend on the jobs value.
+ */
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <sstream>
+
+#include "driver/experiment.h"
+#include "ir/builder.h"
+#include "support/faultinject.h"
+#include "support/telemetry/artifact.h"
+#include "workloads/workload.h"
+
+namespace epic {
+namespace {
+
+TEST(FleetScheduleTest, ProfileOnceMatchesPerConfigRuns)
+{
+    for (const char *name : {"164.gzip", "181.mcf", "186.crafty"}) {
+        const Workload *w = findWorkload(name);
+        ASSERT_NE(w, nullptr) << name;
+        const WorkloadRuns runs = runWorkload(*w, standardConfigs());
+        ASSERT_TRUE(runs.all_match) << name;
+        for (Config cfg : standardConfigs()) {
+            const ConfigRun own = runConfig(*w, cfg);
+            const ConfigRun &shared = runs.by_config.at(cfg);
+            EXPECT_EQ(buildRunRegistry(shared).jsonObject(),
+                      buildRunRegistry(own).jsonObject())
+                << name << " [" << configName(cfg) << "]";
+            EXPECT_EQ(runRecordJson(w->name, runs.source_checksum, shared),
+                      runRecordJson(w->name, runs.source_checksum, own))
+                << name << " [" << configName(cfg) << "]";
+        }
+    }
+}
+
+/** runSuite's records and stderr under compile faults and sim budgets. */
+std::pair<std::string, std::string>
+faultedSuite(int jobs)
+{
+    FaultInjector inj(/*seed=*/42, /*rate=*/0.5);
+    RunOptions opts;
+    opts.jobs = jobs;
+    opts.only = {"gzip", "mcf", "crafty"};
+    opts.tweak = [&inj](CompileOptions &o) { o.firewall.inject = &inj; };
+    // A cycle budget some (workload x config) runs exceed, with no
+    // degradation ladder: those fail, and each failure is a warning.
+    opts.supervise = true;
+    opts.supervision.max_cycles = 1'200'000;
+    opts.supervision.ladder = false;
+    testing::internal::CaptureStderr();
+    const std::vector<WorkloadRuns> suite = runSuite(standardConfigs(), opts);
+    std::string warnings = testing::internal::GetCapturedStderr();
+    EXPECT_GT(inj.fired(), 0);
+    EXPECT_EQ(inj.escaped(), 0);
+    return {suiteArtifact(suite, standardConfigs(), nullptr),
+            std::move(warnings)};
+}
+
+TEST(FleetScheduleTest, SuiteIsJobsInvariantUnderFaults)
+{
+    const auto [records1, warnings1] = faultedSuite(1);
+    const auto [records4, warnings4] = faultedSuite(4);
+    EXPECT_EQ(records1, records4);
+    EXPECT_EQ(warnings1, warnings4);
+
+    // Warnings come from more than one workload, in suite order.
+    std::istringstream lines(warnings4);
+    std::vector<int> order;
+    const std::vector<std::string> names = {"164.gzip", "181.mcf",
+                                            "186.crafty"};
+    for (std::string line; std::getline(lines, line);)
+        for (int i = 0; i < 3; ++i)
+            if (line.find(names[i]) != std::string::npos)
+                order.push_back(i);
+    ASSERT_FALSE(order.empty());
+    EXPECT_NE(order.front(), order.back());
+    EXPECT_TRUE(std::is_sorted(order.begin(), order.end())) << warnings4;
+}
+
+/** main() { return 1000 / divisor; } — divisor 0 on train, 7 on ref. */
+Workload
+divideWorkload()
+{
+    Workload w;
+    w.name = "divide";
+    w.signature = "divides by an input (zero on the train input)";
+    w.build = [] {
+        auto p = std::make_unique<Program>();
+        const int divisor = p->addSymbol("dv_divisor", 8);
+        IRBuilder b(*p);
+        Function *f = b.beginFunction("main", 0);
+        Reg d = b.ld(b.mova(divisor), 8, MemHint{divisor, -1});
+        b.ret(b.div(b.movi(1000), d));
+        p->entry_func = f->id;
+        return p;
+    };
+    w.write_input = [](const Program &p, Memory &mem, InputKind kind) {
+        const uint8_t v = kind == InputKind::Train ? 0 : 7;
+        mem.writeBytes(p.symbolAddr(0), &v, 1);
+    };
+    return w;
+}
+
+TEST(FleetScheduleTest, ProfileTrapFailsEveryConfigAsBefore)
+{
+    const Workload w = divideWorkload();
+    testing::internal::CaptureStderr();
+    const WorkloadRuns runs = runWorkload(w, standardConfigs());
+    const std::string warnings = testing::internal::GetCapturedStderr();
+
+    EXPECT_TRUE(runs.error.empty()) << runs.error;
+    EXPECT_EQ(runs.source_checksum, 1000 / 7);
+    EXPECT_FALSE(runs.all_match);
+    ASSERT_EQ(runs.by_config.size(), standardConfigs().size());
+    for (Config cfg : standardConfigs()) {
+        const ConfigRun &r = runs.by_config.at(cfg);
+        const ConfigRun own = runConfig(w, cfg);
+        EXPECT_FALSE(r.ok);
+        EXPECT_EQ(r.sim_status, RunStatus::Faulted);
+        EXPECT_EQ(r.error.rfind("profile run failed: ", 0), 0u) << r.error;
+        EXPECT_NE(r.error.find("integer divide by zero"), std::string::npos)
+            << r.error;
+        EXPECT_EQ(runRecordJson(w.name, runs.source_checksum, r),
+                  runRecordJson(w.name, runs.source_checksum, own));
+        EXPECT_NE(warnings.find("divide [" + std::string(configName(cfg)) +
+                                "]: " + r.error),
+                  std::string::npos)
+            << warnings;
+    }
+}
+
+} // namespace
+} // namespace epic
