@@ -9,6 +9,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "driver/compiler.h"
 #include "sim/decode.h"
 #include "sim/interp.h"
@@ -215,6 +217,14 @@ struct Golden
     uint64_t squashed_ops;
     uint64_t total_cycles;
 };
+
+/** Print by name: the default byte dump embeds a pointer and padding,
+ *  so the test names listed for ctest would change from run to run. */
+void
+PrintTo(const Golden &g, std::ostream *os)
+{
+    *os << g.workload << ' ' << configName(g.config);
+}
 
 class DecodeGoldenTest : public ::testing::TestWithParam<Golden>
 {

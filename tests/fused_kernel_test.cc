@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <ostream>
 #include <string>
 
 #include "driver/compiler.h"
@@ -62,7 +63,19 @@ runSim(const Workload &w, Compiled &c, const TimingOptions &topts)
 // Golden-counter parity: specialized kernels vs generic fallback, per
 // (workload, config). Parameterized so a failure names the pair.
 
-using WorkloadConfig = std::tuple<const char *, Config>;
+struct WorkloadConfig
+{
+    const char *workload;
+    Config config;
+};
+
+/** Print by name: the default byte dump embeds a pointer, so the test
+ *  names listed for ctest would change from run to run. */
+void
+PrintTo(const WorkloadConfig &p, std::ostream *os)
+{
+    *os << p.workload << ' ' << configName(p.config);
+}
 
 class FusedKernelParityTest
     : public ::testing::TestWithParam<WorkloadConfig>
@@ -97,12 +110,12 @@ INSTANTIATE_TEST_SUITE_P(
                       WorkloadConfig{"181.mcf", Config::ONS},
                       WorkloadConfig{"181.mcf", Config::IlpCs}),
     [](const ::testing::TestParamInfo<WorkloadConfig> &info) {
-        std::string n = std::get<0>(info.param);
+        std::string n = info.param.workload;
         for (char &ch : n)
             if (ch == '.')
                 ch = '_';
-        return n + (std::get<1>(info.param) == Config::ONS ? "_ONS"
-                                                           : "_IlpCs");
+        return n + (info.param.config == Config::ONS ? "_ONS"
+                                                     : "_IlpCs");
     });
 
 // ---------------------------------------------------------------------
