@@ -51,6 +51,9 @@ class DomTree
     /** True if a dominates b (reflexive). */
     bool dominates(int a, int b) const;
 
+    /** Block-id bound of the Cfg this tree was computed over. */
+    int maxBlockId() const { return n_; }
+
   private:
     std::unique_ptr<Arena> own_; ///< null when borrowing the manager's
     int32_t n_ = 0;

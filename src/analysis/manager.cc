@@ -1,5 +1,6 @@
 #include "analysis/manager.h"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "support/logging.h"
@@ -19,24 +20,11 @@ analysisKindName(AnalysisKind k)
     return "?";
 }
 
-const char *
-analysisModeName(AnalysisMode m)
-{
-    switch (m) {
-      case AnalysisMode::Cached: return "cached";
-      case AnalysisMode::ForceRecompute: return "recompute";
-      case AnalysisMode::StaleCheck: return "stale-check";
-    }
-    return "?";
-}
-
 bool
 parseAnalysisMode(const std::string &s, AnalysisMode *out)
 {
     if (s == "cached") {
         *out = AnalysisMode::Cached;
-    } else if (s == "recompute" || s == "force-recompute") {
-        *out = AnalysisMode::ForceRecompute;
     } else if (s == "stale-check" || s == "stalecheck") {
         *out = AnalysisMode::StaleCheck;
     } else {
@@ -55,7 +43,7 @@ envAnalysisMode()
         AnalysisMode m;
         if (!parseAnalysisMode(e, &m)) {
             epic_fatal("EPICLAB_ANALYSIS_MODE: unknown mode '", e,
-                       "' (cached|recompute|stale-check)");
+                       "' (cached|stale-check)");
         }
         return m;
     }();
@@ -165,10 +153,13 @@ sameCfg(const Cfg &a, const Cfg &b)
 }
 
 bool
-sameDom(const DomTree &a, const DomTree &b, int nblocks)
+sameDom(const DomTree &a, const DomTree &b)
 {
-    // idom() fully determines the tree (dominates() walks idom chains).
-    for (int bid = 0; bid < nblocks; ++bid)
+    // idom() fully determines the tree (dominates() walks idom chains
+    // and is false past the end); it reads -1 past either tree's end,
+    // so a block-count change shows wherever it changes an answer.
+    const int n = std::max(a.maxBlockId(), b.maxBlockId());
+    for (int bid = 0; bid < n; ++bid)
         if (a.idom(bid) != b.idom(bid))
             return false;
     return true;
@@ -256,13 +247,7 @@ AnalysisManager::cfg()
         return *cfg_;
     }
     ++counters_.hits[idx];
-    if (mode_ == AnalysisMode::ForceRecompute) {
-        // Assign in place: outstanding references (and the cached
-        // Liveness's internal Cfg pointer) stay valid and see the
-        // freshly recomputed value. The old tables become arena garbage
-        // until the next full-drop rollback.
-        *cfg_ = Cfg(*f_, &arena_);
-    } else if (mode_ == AnalysisMode::StaleCheck) {
+    if (mode_ == AnalysisMode::StaleCheck) {
         Cfg fresh(*f_);
         if (!sameCfg(*cfg_, fresh))
             stalePanic(AnalysisKind::Cfg);
@@ -281,15 +266,12 @@ AnalysisManager::domTree()
         return *dom_;
     }
     ++counters_.hits[idx];
-    if (mode_ == AnalysisMode::ForceRecompute) {
-        // Scratch Cfg, uncounted: hit-path recomputes must not perturb
-        // the counters relative to Cached mode.
-        Cfg scratch(*f_);
-        *dom_ = DomTree(scratch, &arena_);
-    } else if (mode_ == AnalysisMode::StaleCheck) {
+    if (mode_ == AnalysisMode::StaleCheck) {
+        // Scratch Cfg, uncounted: hit-path checks must not perturb the
+        // counters relative to Cached mode.
         Cfg scratch(*f_);
         DomTree fresh(scratch);
-        if (!sameDom(*dom_, fresh, scratch.maxBlockId()))
+        if (!sameDom(*dom_, fresh))
             stalePanic(AnalysisKind::Dom);
     }
     return *dom_;
@@ -308,12 +290,7 @@ AnalysisManager::liveness()
     ++counters_.hits[idx];
     // Invariant (by cascade): Liveness cached implies Cfg cached.
     epic_assert(cfg_, "cached Liveness without cached Cfg in ", f_->name);
-    if (mode_ == AnalysisMode::ForceRecompute) {
-        // Refresh the dependency in place first so the recomputed
-        // Liveness points at (and reads) current-IR structure.
-        *cfg_ = Cfg(*f_, &arena_);
-        *live_ = Liveness(*cfg_);
-    } else if (mode_ == AnalysisMode::StaleCheck) {
+    if (mode_ == AnalysisMode::StaleCheck) {
         Cfg scratch(*f_);
         if (!sameCfg(*cfg_, scratch))
             stalePanic(AnalysisKind::Cfg); // the dependency itself
@@ -336,11 +313,7 @@ AnalysisManager::loopForest()
         return *loops_;
     }
     ++counters_.hits[idx];
-    if (mode_ == AnalysisMode::ForceRecompute) {
-        Cfg scratch(*f_);
-        DomTree sdom(scratch);
-        *loops_ = LoopForest(scratch, sdom);
-    } else if (mode_ == AnalysisMode::StaleCheck) {
+    if (mode_ == AnalysisMode::StaleCheck) {
         Cfg scratch(*f_);
         DomTree sdom(scratch);
         LoopForest fresh(scratch, sdom);
@@ -363,9 +336,7 @@ AnalysisManager::predRelations(int bid)
         return it->second;
     }
     ++counters_.hits[idx];
-    if (mode_ == AnalysisMode::ForceRecompute) {
-        it->second = PredRelations(*b);
-    } else if (mode_ == AnalysisMode::StaleCheck) {
+    if (mode_ == AnalysisMode::StaleCheck) {
         PredRelations fresh(*b);
         if (!(it->second == fresh))
             stalePanic(AnalysisKind::PredRel);

@@ -24,7 +24,8 @@
  *  - Branch trace buffer: a ring of the most recent `btb_depth`
  *    retired predicted branches, plus a per-branch-site profile whose
  *    prediction/misprediction sums must equal the aggregate Perfmon
- *    predictor counters (consumed by bench/fig7_branch_prediction).
+ *    predictor counters (consumed by the fig7 report of
+ *    bench/epiclab_report).
  *
  *  - Hot regions: per-(function, block) cycle-category breakdowns for
  *    `epiclab_run --profile`, summing per category to the Perfmon
