@@ -6,8 +6,10 @@
  *
  * Every report is a view over the same compiled-and-simulated suite, so
  * the binary first runs the union of the run variants the selected
- * reports read — one runSuite() call per variant, each over `--jobs`
- * workers — and then renders each report from the merged WorkloadRuns.
+ * reports read as one runPlan() call over `--jobs` workers — each
+ * workload's source run and profile runs are shared by every variant,
+ * and all variants' tasks share one schedule — and then renders each
+ * report from the merged WorkloadRuns.
  * With no report name it renders all of them in paper order (kReports
  * below). Results merge in suite order, so stdout is byte-identical for
  * every --jobs value.
@@ -68,16 +70,10 @@ const InlineRow kInlineRows[] = {{1.0, kInline10},
 const std::vector<std::string> kCallHeavy = {
     "186.crafty", "252.eon", "253.perlbmk", "255.vortex", "300.twolf"};
 
-struct VariantSpec
-{
-    std::vector<Config> configs;
-    RunOptions opts;
-};
-
-VariantSpec
+RunVariant
 variantSpec(Variant v)
 {
-    VariantSpec s{{Config::IlpCs}, {}};
+    RunVariant s{{Config::IlpCs}, {}};
     RunOptions &o = s.opts;
     switch (v) {
       case kStandard:
@@ -124,17 +120,8 @@ variantSpec(Variant v)
     return s;
 }
 
-/** Every variant that ran, each in suite order (empty when not run). */
-struct Fleet
-{
-    std::array<std::vector<WorkloadRuns>, kNumVariants> runs;
-
-    const std::vector<WorkloadRuns> &
-    operator[](Variant v) const
-    {
-        return runs[v];
-    }
-};
+/** Every variant's runs, in suite order (empty when not run). */
+using Fleet = std::array<std::vector<WorkloadRuns>, kNumVariants>;
 
 /** The run of `cfg`; a failed placeholder if the source run failed. */
 const ConfigRun &
@@ -1084,34 +1071,43 @@ main(int argc, char **argv)
         for (Variant v : r->variants)
             needed[v] = true;
 
-    // One runSuite() per variant the selected reports read.
-    const auto t0 = std::chrono::steady_clock::now();
-    Fleet fleet;
-    bool all_match = true;
-    for (int v = 0; v < kNumVariants; ++v) {
+    // One plan over every variant the selected reports read. The
+    // standard variant goes last: it keeps its compiled programs and
+    // PMU data for rendering, so they pile up only while the profiled
+    // programs it is the last reader of are being freed.
+    std::vector<Variant> planned;
+    std::vector<RunVariant> plan;
+    for (int i = 1; i <= kNumVariants; ++i) {
+        const Variant v = static_cast<Variant>(i % kNumVariants);
         if (!needed[v])
             continue;
-        VariantSpec spec = variantSpec(static_cast<Variant>(v));
-        spec.opts.jobs = jobs;
-        fleet.runs[v] = runSuite(spec.configs, spec.opts);
-        for (WorkloadRuns &r : fleet.runs[v]) {
+        planned.push_back(v);
+        plan.push_back(variantSpec(v));
+        plan.back().opts.jobs = jobs;
+    }
+    bool all_match = true;
+    const auto t0 = std::chrono::steady_clock::now();
+    std::vector<std::vector<WorkloadRuns>> ran =
+        runPlan(plan, [&](size_t i, WorkloadRuns &r) {
             all_match = all_match && r.all_match;
             // Only fig7 and fig10 read compiled programs or PMU data,
             // and only from the standard variant; dropping the rest
-            // early nearly halves peak RSS.
-            if (v != kStandard)
+            // as they merge nearly halves peak RSS.
+            if (planned[i] != kStandard)
                 for (auto &[cfg, cr] : r.by_config) {
                     (void)cfg;
                     cr.prog.reset();
                     cr.pmu.reset();
                 }
-        }
-    }
+        });
     const double wall_s = std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - t0)
                               .count();
     fprintf(stderr, "fleet wall clock: %.1f s (jobs=%d)\n", wall_s, jobs);
 
+    Fleet fleet;
+    for (size_t i = 0; i < planned.size(); ++i)
+        fleet[planned[i]] = std::move(ran[i]);
     for (const Report *r : selected)
         r->render(fleet);
 

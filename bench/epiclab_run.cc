@@ -53,15 +53,22 @@
  * --resume skips every manifest-recorded task and reassembles a final
  * artifact byte-identical to an uninterrupted run.
  *
- * Unknown flags and malformed numeric values are fatal: a typo must
- * kill the run at the parser, not silently select a benchmark or a
- * zero job count.
+ * A single run (<benchmark>) is a suite of one: its source-truth run
+ * fills the record's source_checksum, and a checksum mismatch exits 1.
+ *
+ * Exit status: 2 on a bad command line — an unknown option or name, a
+ * missing or malformed value, incompatible flags — before anything
+ * runs (a typo must kill the run at the parser, not silently select a
+ * benchmark or a zero job count); 1 when a run failed, missed its
+ * source checksum or broke a declared invariant; 130 when stopped by a
+ * signal; else 0.
  */
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <sstream>
 #include <string>
 
 #include "driver/experiment.h"
@@ -79,6 +86,9 @@
 using namespace epic;
 
 namespace {
+
+const char *const kUsage =
+    "usage: epiclab_run <benchmark>|--all [options] (see --help)";
 
 void
 usage()
@@ -204,15 +214,28 @@ printArenaStats()
 }
 
 /**
- * Check every run record's declared invariants; prints violations to
- * stderr and returns false if any fired.
+ * Write the --json records and --samples series whose paths are set, in
+ * suite x config order (--jobs invariant); false if an invariant fired.
  */
 bool
-reportViolations(const std::vector<std::string> &violations)
+writeArtifacts(const std::vector<WorkloadRuns> &suite,
+               const std::vector<Config> &configs,
+               const std::string &json_path,
+               const std::string &samples_path)
 {
-    for (const std::string &v : violations)
-        epic_warn("telemetry ", v);
-    return violations.empty();
+    bool ok = true;
+    if (!json_path.empty()) {
+        std::vector<std::string> violations;
+        atomicWriteFileOrDie(json_path,
+                             suiteArtifact(suite, configs, &violations));
+        for (const std::string &v : violations)
+            epic_warn("telemetry ", v);
+        ok = violations.empty();
+    }
+    if (!samples_path.empty() &&
+        !writeSamplesArtifact(samples_path, suite, configs))
+        ok = false;
+    return ok;
 }
 
 /**
@@ -239,12 +262,8 @@ runAll(RunOptions &opts, const std::vector<Config> &configs,
                     mpath.c_str());
         opts.manifest = &manifest;
     }
-    if (opts.supervise)
-        installStopSignalHandlers();
 
     std::vector<WorkloadRuns> suite = runSuite(configs, opts);
-    if (suite.empty())
-        epic_fatal("--only matched no workloads (see --list)");
 
     if (supervisionActive() && stopRequested()) {
         // Completed records are already durable (fsync'd appends); a
@@ -296,19 +315,8 @@ runAll(RunOptions &opts, const std::vector<Config> &configs,
         printArenaStats();
     }
 
-    bool invariants_ok = true;
-    if (!json_path.empty()) {
-        // Serialized post-join in suite x config index order: the
-        // artifact bytes are identical for any --jobs value.
-        std::vector<std::string> violations;
-        const std::string doc =
-            suiteArtifact(suite, configs, &violations);
-        atomicWriteFileOrDie(json_path, doc);
-        invariants_ok = reportViolations(violations);
-    }
-    if (!samples_path.empty() &&
-        !writeSamplesArtifact(samples_path, suite, configs))
-        invariants_ok = false;
+    const bool invariants_ok =
+        writeArtifacts(suite, configs, json_path, samples_path);
 
     // Wall clock goes to stderr: it varies run to run, and stdout must
     // stay byte-identical across --jobs values.
@@ -329,7 +337,7 @@ main(int argc, char **argv)
 {
     if (argc < 2) {
         usage();
-        return 1;
+        return 2;
     }
     const std::string mode = argv[1];
     if (mode == "--help" || mode == "-h") {
@@ -342,7 +350,7 @@ main(int argc, char **argv)
         return 0;
     }
     if (mode != "--all" && mode[0] == '-')
-        epic_fatal("unknown option '", mode, "' (see --help)");
+        usageError(kUsage, "unknown option '" + mode + "'");
 
     std::string bench = mode;
     Config cfg = Config::IlpCs;
@@ -361,7 +369,7 @@ main(int argc, char **argv)
     // zeroed parameter.
     auto value_of = [&](int &i, const std::string &flag) -> const char * {
         if (i + 1 >= argc)
-            epic_fatal(flag, " requires a value (see --help)");
+            usageError(kUsage, flag + " requires a value");
         return argv[++i];
     };
     for (int i = 2; i < argc; ++i) {
@@ -376,19 +384,17 @@ main(int argc, char **argv)
         } else if (a == "--trace") {
             trace_path = value_of(i, a);
         } else if (a == "--config") {
-            std::string c = value_of(i, a);
-            if (c == "GCC")
-                cfg = Config::Gcc;
-            else if (c == "O-NS")
-                cfg = Config::ONS;
-            else if (c == "ILP-NS")
-                cfg = Config::IlpNs;
-            else if (c == "ILP-CS")
-                cfg = Config::IlpCs;
-            else if (c == "ILP-CS-DS")
-                cfg = Config::IlpCsDs;
-            else
-                epic_fatal("--config: unknown configuration '", c, "'");
+            const std::string c = value_of(i, a);
+            bool known = false;
+            for (Config k : {Config::Gcc, Config::ONS, Config::IlpNs,
+                             Config::IlpCs, Config::IlpCsDs})
+                if (c == configName(k)) {
+                    cfg = k;
+                    known = true;
+                }
+            if (!known)
+                usageError(kUsage,
+                           "--config: unknown configuration '" + c + "'");
         } else if (a == "--with-ds") {
             with_ds = true;
         } else if (a == "--alat-entries") {
@@ -405,7 +411,7 @@ main(int argc, char **argv)
             else if (m == "general")
                 opts.spec_model = SpecModel::General;
             else
-                epic_fatal("--spec: unknown model '", m, "'");
+                usageError(kUsage, "--spec: unknown model '" + m + "'");
         } else if (a == "--profile-on-ref") {
             opts.profile_input = InputKind::Ref;
         } else if (a == "--no-peel") {
@@ -467,23 +473,13 @@ main(int argc, char **argv)
             opts.resume = true;
             opts.supervise = true;
         } else if (a == "--only") {
-            std::string list = value_of(i, a);
-            size_t pos = 0;
-            while (pos <= list.size()) {
-                const size_t comma = list.find(',', pos);
-                const std::string pat =
-                    list.substr(pos, comma == std::string::npos
-                                         ? std::string::npos
-                                         : comma - pos);
+            std::istringstream list(value_of(i, a));
+            for (std::string pat; std::getline(list, pat, ',');)
                 if (!pat.empty())
                     opts.only.push_back(pat);
-                if (comma == std::string::npos)
-                    break;
-                pos = comma + 1;
-            }
             if (opts.only.empty())
-                epic_fatal("--only requires at least one non-empty "
-                           "workload substring");
+                usageError(kUsage, "--only requires at least one "
+                                   "non-empty workload substring");
         } else if (a == "--sim-mode") {
             std::string m = value_of(i, a);
             if (m == "sampled")
@@ -491,8 +487,8 @@ main(int argc, char **argv)
             else if (m == "detailed")
                 opts.sim_mode = SimMode::Detailed;
             else
-                epic_fatal("--sim-mode: unknown mode '", m,
-                           "' (detailed|sampled)");
+                usageError(kUsage, "--sim-mode: unknown mode '" + m +
+                                       "' (detailed|sampled)");
         } else if (a == "--ff-functional") {
             opts.ff_functional = static_cast<uint64_t>(parseIntFlag(
                 "--ff-functional", value_of(i, a), 1, INT64_MAX));
@@ -515,10 +511,10 @@ main(int argc, char **argv)
         } else if (a == "--analysis-mode") {
             std::string m = value_of(i, a);
             if (!parseAnalysisMode(m, &analysis_mode))
-                epic_fatal("--analysis-mode: unknown mode '", m,
-                           "' (cached|stale-check)");
+                usageError(kUsage, "--analysis-mode: unknown mode '" + m +
+                                       "' (cached|stale-check)");
         } else {
-            epic_fatal("unknown option '", a, "' (see --help)");
+            usageError(kUsage, "unknown option '" + a + "'");
         }
     }
     FaultInjector injector(inject_seed, inject_rate);
@@ -526,8 +522,8 @@ main(int argc, char **argv)
         injector.enableAnalysisFaults(true);
     if (inject_sim) {
         if (!inject)
-            epic_fatal("--inject-sim needs --inject <seed> for the "
-                       "deterministic fault plan");
+            usageError(kUsage, "--inject-sim needs --inject <seed> for "
+                               "the deterministic fault plan");
         injector.enableSimFaults(true);
         opts.sim_inject = &injector;
     }
@@ -544,29 +540,33 @@ main(int argc, char **argv)
     };
 
     if (opts.resume && json_path.empty())
-        epic_fatal("--resume needs --json <path> (the manifest lives "
-                   "in <path>.manifest)");
+        usageError(kUsage, "--resume needs --json <path> (the manifest "
+                           "lives in <path>.manifest)");
     if (!samples_path.empty() && opts.pmu.sample_every == 0)
-        epic_fatal("--samples needs --sample-every <N> (nothing would "
-                   "be sampled)");
+        usageError(kUsage, "--samples needs --sample-every <N> (nothing "
+                           "would be sampled)");
     if (opts.pmu.regions && bench == "--all")
-        epic_fatal("--profile reports one run; use it without --all "
-                   "(pick a benchmark and --config)");
+        usageError(kUsage, "--profile reports one run; use it without "
+                           "--all (pick a benchmark and --config)");
     if (opts.pmu.enabled() && opts.resume)
-        epic_fatal("--resume cannot replay PMU sample streams; rerun "
-                   "the fleet without --resume when sampling");
+        usageError(kUsage, "--resume cannot replay PMU sample streams; "
+                           "rerun the fleet without --resume when "
+                           "sampling");
     if (opts.sim_mode == SimMode::Sampled) {
         if (opts.ff_functional == 0 || opts.detail_window == 0)
-            epic_fatal("--sim-mode=sampled requires --ff-functional <M> "
-                       "and --detail-window <W>");
+            usageError(kUsage, "--sim-mode=sampled requires "
+                               "--ff-functional <M> and --detail-window "
+                               "<W>");
         if (opts.resume)
-            epic_fatal("--resume cannot extend a sampled run (the "
-                       "extrapolation basis would differ); rerun the "
-                       "fleet without --resume");
+            usageError(kUsage, "--resume cannot extend a sampled run "
+                               "(the extrapolation basis would differ); "
+                               "rerun the fleet without --resume");
     } else if (opts.ff_functional != 0 || opts.detail_window != 0) {
-        epic_fatal("--ff-functional/--detail-window only apply to "
-                   "--sim-mode=sampled");
+        usageError(kUsage, "--ff-functional/--detail-window only apply "
+                           "to --sim-mode=sampled");
     }
+    if (bench == "--all" && matchWorkloads(opts.only).empty())
+        usageError(kUsage, "--only matched no workloads (see --list)");
     // Pool-side hung-task watchdog: the safety net behind the
     // cooperative deadline poll. Warn at 10x the per-attempt deadline
     // (min 1 s) — cooperative reclaim should long since have fired.
@@ -586,6 +586,8 @@ main(int argc, char **argv)
         return rc;
     };
 
+    if (opts.supervise)
+        installStopSignalHandlers();
     if (bench == "--all") {
         // The legacy four-configuration sweep is the byte-stable
         // artifact contract; ILP-CS-DS rides along only on request.
@@ -602,26 +604,17 @@ main(int argc, char **argv)
             if (cand.name.find(bench) != std::string::npos)
                 w = &cand;
     }
-    if (!w) {
-        printf("unknown benchmark '%s' (try --list)\n", bench.c_str());
+    if (!w)
+        usageError(kUsage, "unknown benchmark '" + bench + "' (try --list)");
+
+    // A suite of one: the source-truth run validates the result (and
+    // drives the supervisor's retry) exactly as in --all.
+    const WorkloadRuns runs = runWorkload(*w, {cfg}, opts);
+    if (!runs.error.empty()) {
+        printf("run failed: %s\n", runs.error.c_str());
         return finish(1);
     }
-
-    if (opts.supervise) {
-        installStopSignalHandlers();
-        // Source-truth checksum, so the supervisor's validation-aware
-        // retry catches silent corruption in single-run mode too (the
-        // suite path gets this from runWorkload's source run).
-        auto src = w->build();
-        src->layoutData();
-        Memory mem;
-        mem.initFromProgram(*src);
-        w->write_input(*src, mem, opts.run_input);
-        InterpResult truth = interpret(*src, mem, {});
-        if (truth.ok)
-            opts.expected_checksum = truth.ret_value;
-    }
-    ConfigRun r = runConfig(*w, cfg, opts);
+    const ConfigRun &r = runs.by_config.at(cfg);
     if (!r.fallback.clean())
         printf("%s\n", r.fallback.str().c_str());
     if (opts.supervise && r.sim_attempts > 0)
@@ -643,31 +636,8 @@ main(int argc, char **argv)
                    fr.detail.c_str());
         printf("\n");
     }
-    if (!json_path.empty()) {
-        // Single-run record: unsupervised runs skip the source-truth
-        // interpretation, so source_checksum is recorded as 0 there.
-        std::vector<std::string> violations;
-        StatsRegistry reg = buildRunRegistry(r);
-        for (const std::string &v : reg.checkInvariants())
-            violations.push_back(w->name + " [" +
-                                 configName(r.config) + "]: " + v);
-        atomicWriteFileOrDie(
-            json_path,
-            runRecordJson(w->name, opts.expected_checksum.value_or(0),
-                          r) +
-                "\n");
-        if (!reportViolations(violations))
-            return finish(1);
-    }
-    if (!samples_path.empty()) {
-        // Reuse the suite serializer for the single run: same record
-        // shape, same reconciliation check.
-        WorkloadRuns single;
-        single.name = w->name;
-        single.by_config.emplace(r.config, r);
-        if (!writeSamplesArtifact(samples_path, {single}, {r.config}))
-            return finish(1);
-    }
+    if (!writeArtifacts({runs}, {cfg}, json_path, samples_path))
+        return finish(1);
     if (!r.ok) {
         printf("run failed: %s\n", r.error.c_str());
         return finish(1);
@@ -844,5 +814,6 @@ main(int argc, char **argv)
             print_sites("I-EAR", r.pmu->iearSites());
         }
     }
-    return finish(0);
+    // A checksum mismatch fails the run, as in --all.
+    return finish(runs.all_match ? 0 : 1);
 }

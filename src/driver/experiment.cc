@@ -1,8 +1,12 @@
 #include "driver/experiment.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <deque>
+#include <mutex>
+#include <tuple>
 
 #include "sim/checkpoint.h"
 #include "support/faultinject.h"
@@ -23,34 +27,6 @@ standardConfigs()
 }
 
 namespace {
-
-/** Trace label "<phase> <workload>" ("" when tracing is off). */
-std::string
-phaseLabel(const char *phase, const Workload &w)
-{
-    if (!TraceRecorder::global().enabled())
-        return {};
-    return std::string(phase) + " " + w.name;
-}
-
-/** Build + profile a fresh source program for a workload. */
-std::unique_ptr<Program>
-buildProfiled(const Workload &w, const RunOptions &opts,
-              std::string *error)
-{
-    TraceSpan span("experiment.phase", phaseLabel("build+profile", w));
-    auto prog = w.build();
-    prog->layoutData();
-    Memory mem;
-    mem.initFromProgram(*prog);
-    w.write_input(*prog, mem, opts.profile_input);
-    auto prof = profileRun(*prog, mem);
-    if (!prof.ok) {
-        *error = "profile run failed: " + prof.error;
-        return nullptr;
-    }
-    return prog;
-}
 
 /** RAII arm/disarm for the per-task deadline poll. */
 struct SupervisionScope
@@ -139,26 +115,26 @@ recordChecksum(const std::string &rec)
                         10);
 }
 
-/** Fresh input image for the compiled program. */
+/** Fresh memory image of `prog` holding the workload's `input`. */
 void
 buildImage(const Workload &w, const Program &prog, Memory &mem,
-           const RunOptions &opts)
+           InputKind input)
 {
     mem.initFromProgram(prog);
-    w.write_input(const_cast<Program &>(prog), mem, opts.run_input);
+    w.write_input(prog, mem, input);
 }
 
 /**
- * Supervised simulation of a compiled program: budgets + deadline,
+ * Simulation of a compiled program under `sup`: budgets + deadline,
  * validation-aware bounded retry of the detailed sim, then the
  * degradation ladder (functional-only, then skip-with-record) —
  * mirroring the compile firewall's rung discipline at the sim layer.
+ * An unsupervised run is one attempt with no budget and no ladder.
  */
 void
-superviseSim(const Workload &w, Config cfg, const RunOptions &opts,
-             Program &prog, ConfigRun &out)
+runSim(const Workload &w, Config cfg, const RunOptions &opts,
+       const SupervisionOptions &sup, Program &prog, ConfigRun &out)
 {
-    const SupervisionOptions &sup = opts.supervision;
     SupervisionScope scope(sup.deadline_ms > 0);
 
     TimingOptions base;
@@ -182,7 +158,7 @@ superviseSim(const Workload &w, Config cfg, const RunOptions &opts,
     // function of (seed, workload, rung); it corrupts the *first*
     // attempt only — all three kinds model transient faults.
     SimFaultPlan plan;
-    if (opts.sim_inject)
+    if (opts.sim_inject && opts.supervise)
         plan = opts.sim_inject->simPlan(w.name, configName(cfg));
 
     const int max_attempts = std::max(1, sup.max_attempts);
@@ -190,7 +166,7 @@ superviseSim(const Workload &w, Config cfg, const RunOptions &opts,
     SimCheckpoint ckpt;
     for (int attempt = 0; attempt < max_attempts; ++attempt) {
         Memory mem;
-        buildImage(w, prog, mem, opts);
+        buildImage(w, prog, mem, opts.run_input);
         TimingOptions topts = base;
         topts.deadline_ns = deadlineFromNowMs(sup.deadline_ms);
         if (sup.checkpoint_every)
@@ -244,7 +220,7 @@ superviseSim(const Workload &w, Config cfg, const RunOptions &opts,
         // scheduled order through the interpreter — architected result
         // (checksum) without the timing model that failed.
         Memory mem;
-        buildImage(w, prog, mem, opts);
+        buildImage(w, prog, mem, opts.run_input);
         InterpOptions io;
         io.scheduled_order = true;
         if (sup.max_instrs)
@@ -300,17 +276,6 @@ superviseSim(const Workload &w, Config cfg, const RunOptions &opts,
     }
 }
 
-/** The record of a configuration whose shared profile run failed. */
-ConfigRun
-profileFailed(Config cfg, const std::string &error)
-{
-    ConfigRun out;
-    out.config = cfg;
-    out.error = error;
-    out.sim_status = RunStatus::Faulted;
-    return out;
-}
-
 /** Compile a profiled source under one configuration and simulate it. */
 ConfigRun
 compileAndRun(const Workload &w, Config cfg, const Program &src,
@@ -353,173 +318,132 @@ compileAndRun(const Workload &w, Config cfg, const Program &src,
     out.instrs_final = c.instrs_final;
 
     TraceSpan sim_span("experiment.phase", phase_label("simulate"));
-    if (opts.supervise) {
-        superviseSim(w, cfg, opts, *c.prog, out);
-        out.prog = std::shared_ptr<Program>(std::move(c.prog));
-        return out;
-    }
-
-    Memory mem;
-    mem.initFromProgram(*c.prog);
-    w.write_input(*c.prog, mem, opts.run_input);
-    TimingOptions topts;
-    topts.spec_model = opts.spec_model;
-    topts.pmu = opts.pmu;
-    topts.sim_mode = opts.sim_mode;
-    topts.ff_functional = opts.ff_functional;
-    topts.detail_window = opts.detail_window;
-    if (opts.alat_entries)
-        topts.mach.alat_entries = *opts.alat_entries;
-    if (opts.alat_assoc)
-        topts.mach.alat_assoc = *opts.alat_assoc;
-    auto r = simulate(*c.prog, mem, topts);
-    out.sim_attempts = 1;
-    if (!r.ok) {
-        out.sim_status = r.status;
-        out.error = std::string(configName(cfg)) +
-                    " simulation failed: " + r.error;
-        return out;
-    }
-    out.ok = true;
-    out.checksum = r.ret_value;
-    out.pm = std::move(r.pm);
-    out.pmu = std::move(r.pmu);
-    out.sampled = r.sampled;
+    SupervisionOptions single_attempt;
+    single_attempt.max_attempts = 1;
+    single_attempt.ladder = false;
+    runSim(w, cfg, opts, opts.supervise ? opts.supervision : single_attempt,
+           *c.prog, out);
     out.prog = std::shared_ptr<Program>(std::move(c.prog));
     return out;
 }
 
 /**
- * One workload's share of a run: its source truth, plus the single
- * profiled program that all of its configuration tasks compile from.
- * compileProgram only reads its source (through Program::clone), so
- * concurrent tasks share `profiled` without copying it.
+ * A plan's source-truth run of (workload, run input) or build + profile
+ * run of (workload, profile input), shared by every entry with that key.
+ * Tasks share `profiled` uncopied: compileProgram only clones its source.
  */
-struct Prepared
+struct Prep
 {
     const Workload *w = nullptr;
-    WorkloadRuns runs;          ///< name, source_checksum, error
-    bool source_failed = false; ///< runs.error needs a warning
-    RunOptions opts;            ///< + expected_checksum when supervised
+    InputKind input = InputKind::Ref;
+    bool profile = false;
+    bool needed = false; ///< a source run, or some task not resumed
+    int64_t checksum = 0;
     std::unique_ptr<Program> profiled;
-    std::string profile_error;
+    std::string error;   ///< non-empty: the run failed or was stopped
+    bool failed = false; ///< a failed source run (warned at merge)
+    std::atomic<int> pending{0}; ///< tasks reading `profiled`; last frees it
+};
+
+void
+prepare(Prep &p)
+{
+    if (!p.needed)
+        return;
+    if (stopped()) {
+        p.error = "interrupted by stop request";
+        return;
+    }
+    TraceSpan span("experiment.phase",
+                   TraceRecorder::global().enabled()
+                       ? (p.profile ? "build+profile " : "source-run ") +
+                             p.w->name
+                       : std::string());
+    auto prog = p.w->build();
+    prog->layoutData();
+    Memory mem;
+    buildImage(*p.w, *prog, mem, p.input);
+    if (p.profile) {
+        auto r = profileRun(*prog, mem);
+        if (r.ok)
+            p.profiled = std::move(prog);
+        else
+            p.error = "profile run failed: " + r.error;
+        return;
+    }
+    auto r = interpret(*prog, mem);
+    if (r.ok) {
+        p.checksum = r.ret_value;
+    } else {
+        // Recoverable: the workload is reported as failed instead of
+        // killing the whole plan.
+        p.error = "source program failed: " + r.error;
+        p.failed = true;
+    }
+}
+
+/** One (variant x workload) share of a plan. */
+struct Entry
+{
+    size_t variant = 0;
+    const Workload *w = nullptr;
+    RunOptions opts; ///< + expected_checksum when supervised
+    Prep *source = nullptr;
+    Prep *profile = nullptr;
     std::vector<ConfigRun> results; ///< one slot per configuration
-    /// Configuration tasks still running; the last one to finish
-    /// frees `profiled`, so a fleet does not hold every workload's
-    /// profiled program until the end.
-    std::atomic<int> pending{0};
+    std::atomic<int> pending{0};    ///< configuration tasks still running
 };
 
 /**
- * Phase 1: the source-truth run, the records a resumed manifest
- * already holds and — when any configuration still has to run — one
- * build + profile run on the profile input.
- */
-void
-prepare(Prepared &p, const Workload &w, const std::vector<Config> &configs,
-        const RunOptions &opts)
-{
-    p.w = &w;
-    p.runs.name = w.name;
-    p.opts = opts;
-    if (stopped()) {
-        p.runs.error = "interrupted by stop request";
-        return;
-    }
-
-    // Source truth: functional run of the unoptimized program on the
-    // measurement input.
-    {
-        TraceSpan span("experiment.phase", phaseLabel("source-run", w));
-        auto prog = w.build();
-        prog->layoutData();
-        Memory mem;
-        mem.initFromProgram(*prog);
-        w.write_input(*prog, mem, opts.run_input);
-        auto r = interpret(*prog, mem);
-        if (!r.ok) {
-            // Recoverable: the harness reports the workload as failed
-            // instead of killing the whole suite.
-            p.runs.error = "source program failed: " + r.error;
-            p.source_failed = true;
-            return;
-        }
-        p.runs.source_checksum = r.ret_value;
-    }
-
-    // Supervised runs validate every accepted result against the
-    // source truth (silent-corruption detection drives retry).
-    if (opts.supervise)
-        p.opts.expected_checksum = p.runs.source_checksum;
-
-    bool need_profile = false;
-    p.results.resize(configs.size());
-    for (size_t i = 0; i < configs.size(); ++i) {
-        ConfigRun &r = p.results[i];
-        r.config = configs[i];
-        const std::string *rec =
-            opts.manifest && opts.resume
-                ? opts.manifest->find(manifestKey(w, configs[i], opts))
-                : nullptr;
-        if (!rec) {
-            need_profile = true;
-            continue;
-        }
-        r.resumed = true;
-        r.record_json = *rec;
-        r.ok = recordSaysOk(*rec);
-        r.checksum = recordChecksum(*rec);
-        if (!r.ok)
-            r.error = "failed in a previous run (resumed manifest record)";
-    }
-    if (need_profile)
-        p.profiled = buildProfiled(w, opts, &p.profile_error);
-    p.pending = static_cast<int>(configs.size());
-}
-
-/**
- * Phase 2: one (workload x config) task. Compiles the shared profiled
+ * One (variant x workload x config) task. Compiles the shared profiled
  * program and simulates it, then appends the durable manifest record.
  */
 void
-runTask(Prepared &p, size_t i)
+runTask(Entry &e, size_t i)
 {
-    ConfigRun &r = p.results[i];
+    ConfigRun &r = e.results[i];
+    const Prep &p = *e.profile;
     if (!r.resumed && stopped()) {
         r.sim_status = RunStatus::Deadline;
         r.error = "interrupted by stop request";
     } else if (!r.resumed) {
-        const Config cfg = r.config;
-        r = p.profiled ? compileAndRun(*p.w, cfg, *p.profiled, p.opts)
-                       : profileFailed(cfg, p.profile_error);
+        if (p.profiled) {
+            r = compileAndRun(*e.w, r.config, *p.profiled, e.opts);
+        } else {
+            r.sim_status = RunStatus::Faulted;
+            r.error = p.error;
+        }
         // Durable completion record — appended (and fsync'd) the moment
         // the task finishes, so a later kill -9 cannot lose it. Results
         // produced after a stop request are not recorded: they may be
         // partial (Deadline) and will simply re-run on resume.
-        if (p.opts.manifest && !(stopped() && !r.ok))
-            p.opts.manifest->record(
-                manifestKey(*p.w, cfg, p.opts),
-                runRecordJson(p.w->name, p.runs.source_checksum, r));
+        if (e.opts.manifest && (r.ok || !stopped()))
+            e.opts.manifest->record(
+                manifestKey(*e.w, r.config, e.opts),
+                runRecordJson(e.w->name, e.source->checksum, r));
     }
-    if (--p.pending == 0)
-        p.profiled.reset();
+    if (--e.profile->pending == 0)
+        e.profile->profiled.reset();
 }
 
 /**
- * After a workload's tasks finished: fold its results in `configs`
- * order and emit its warnings, so aggregates and the warning stream
- * never depend on the schedule.
+ * After an entry's tasks finished: fold its results in `configs` order
+ * and emit its warnings, so aggregates and the warning stream never
+ * depend on the schedule.
  */
 WorkloadRuns
-merge(Prepared &p)
+merge(Entry &e)
 {
-    WorkloadRuns out = std::move(p.runs);
-    if (p.source_failed)
+    WorkloadRuns out;
+    out.name = e.w->name;
+    out.source_checksum = e.source->checksum;
+    out.error = e.source->error;
+    if (e.source->failed)
         epic_warn(out.name, ": ", out.error);
     if (!out.error.empty())
         return out;
     out.all_match = true;
-    for (ConfigRun &r : p.results) {
+    for (ConfigRun &r : e.results) {
         const Config cfg = r.config;
         out.fallback.merge(r.fallback);
         out.pipeline.merge(r.pipeline);
@@ -537,65 +461,139 @@ merge(Prepared &p)
     return out;
 }
 
+/** runPlan over explicit workload lists, one per variant. */
+std::vector<std::vector<WorkloadRuns>>
+runPlanOn(const std::vector<RunVariant> &variants,
+          const std::vector<std::vector<const Workload *>> &suites,
+          const PlanProgress &progress)
+{
+    // Plan order: variant-major, each variant's workloads in order.
+    std::deque<Entry> entries;
+    std::deque<Prep> preps;
+    std::map<std::tuple<const Workload *, InputKind, bool>, Prep *> prep_of;
+    auto prep = [&](const Workload *w, InputKind input, bool profile) {
+        Prep *&p = prep_of[{w, input, profile}];
+        if (!p) {
+            p = &preps.emplace_back();
+            p->w = w;
+            p->input = input;
+            p->profile = profile;
+            p->needed = !profile;
+        }
+        return p;
+    };
+    int jobs = 1;
+    for (size_t v = 0; v < variants.size(); ++v) {
+        const RunOptions &opts = variants[v].opts;
+        const std::vector<Config> &configs = variants[v].configs;
+        jobs = std::max(jobs, opts.jobs);
+        for (const Workload *w : suites[v]) {
+            Entry &e = entries.emplace_back();
+            e.variant = v;
+            e.w = w;
+            e.opts = opts;
+            e.source = prep(w, opts.run_input, false);
+            e.profile = prep(w, opts.profile_input, true);
+            // Records a resumed manifest already holds are reused; every
+            // other configuration needs the profile run.
+            e.results.resize(configs.size());
+            for (size_t i = 0; i < configs.size(); ++i) {
+                ConfigRun &r = e.results[i];
+                r.config = configs[i];
+                const std::string *rec =
+                    opts.manifest && opts.resume
+                        ? opts.manifest->find(manifestKey(*w, configs[i], opts))
+                        : nullptr;
+                if (!rec) {
+                    e.profile->needed = true;
+                    continue;
+                }
+                r.resumed = true;
+                r.record_json = *rec;
+                r.ok = recordSaysOk(*rec);
+                r.checksum = recordChecksum(*rec);
+                if (!r.ok)
+                    r.error =
+                        "failed in a previous run (resumed manifest record)";
+            }
+        }
+    }
+
+    // Phase 1: every source run and every needed profile run, once.
+    parallelFor(jobs, static_cast<int>(preps.size()),
+                [&](int i) { prepare(preps[i]); });
+
+    // Phase 2: one flat schedule of every task, in plan order, so the
+    // pool stays busy across workload and variant boundaries.
+    std::vector<std::pair<Entry *, size_t>> tasks;
+    for (Entry &e : entries) {
+        if (!e.source->error.empty())
+            continue;
+        // Supervised runs validate every accepted result against the
+        // source truth (silent-corruption detection drives retry).
+        if (e.opts.supervise)
+            e.opts.expected_checksum = e.source->checksum;
+        e.pending = static_cast<int>(e.results.size());
+        e.profile->pending += e.pending;
+        for (size_t c = 0; c < e.results.size(); ++c)
+            tasks.emplace_back(&e, c);
+    }
+    for (Prep &p : preps)
+        if (p.pending == 0)
+            p.profiled.reset();
+
+    // Merge the finished prefix of the plan as soon as it grows, so
+    // warnings and `progress` come in plan order at any jobs value.
+    std::vector<std::vector<WorkloadRuns>> out(variants.size());
+    std::mutex mu;
+    size_t merged = 0;
+    auto merge_ready = [&] {
+        std::lock_guard<std::mutex> lock(mu);
+        for (; merged < entries.size() && entries[merged].pending == 0;
+             ++merged) {
+            Entry &e = entries[merged];
+            out[e.variant].push_back(merge(e));
+            if (progress)
+                progress(e.variant, out[e.variant].back());
+        }
+    };
+    merge_ready();
+    parallelFor(jobs, static_cast<int>(tasks.size()), [&](int t) {
+        Entry &e = *tasks[t].first;
+        runTask(e, tasks[t].second);
+        if (--e.pending == 0)
+            merge_ready();
+    });
+    return out;
+}
+
 } // namespace
 
-ConfigRun
-runConfig(const Workload &w, Config cfg, const RunOptions &opts)
+std::vector<std::vector<WorkloadRuns>>
+runPlan(const std::vector<RunVariant> &variants,
+        const PlanProgress &progress)
 {
-    std::string err;
-    std::unique_ptr<Program> src = buildProfiled(w, opts, &err);
-    return src ? compileAndRun(w, cfg, *src, opts) : profileFailed(cfg, err);
+    std::vector<std::vector<const Workload *>> suites;
+    for (const RunVariant &v : variants)
+        suites.push_back(matchWorkloads(v.opts.only));
+    return runPlanOn(variants, suites, progress);
 }
 
 WorkloadRuns
 runWorkload(const Workload &w, const std::vector<Config> &configs,
             const RunOptions &opts)
 {
-    Prepared p;
-    prepare(p, w, configs, opts);
-    parallelFor(opts.jobs, static_cast<int>(p.results.size()),
-                [&](int i) { runTask(p, i); });
-    return merge(p);
+    return std::move(runPlanOn({{configs, opts}}, {{&w}}, {})[0][0]);
 }
 
 std::vector<WorkloadRuns>
 runSuite(const std::vector<Config> &configs, const RunOptions &opts,
          const std::function<void(const WorkloadRuns &)> &progress)
 {
-    const std::vector<const Workload *> suite = matchWorkloads(opts.only);
-    const int n = static_cast<int>(suite.size());
-
-    std::vector<Prepared> prep(n);
-    parallelFor(opts.jobs, n,
-                [&](int i) { prepare(prep[i], *suite[i], configs, opts); });
-
-    // One flat schedule of every (workload x config) task, workload-
-    // major, so the pool stays busy across workload boundaries.
-    std::vector<std::pair<int, int>> tasks;
-    for (int i = 0; i < n; ++i)
-        for (size_t c = 0; c < prep[i].results.size(); ++c)
-            tasks.emplace_back(i, static_cast<int>(c));
-
-    // Merge in suite order: a serial run merges (and reports) each
-    // workload as soon as its last task finished, a parallel run after
-    // the join.
-    std::vector<WorkloadRuns> out(n);
-    int merged = 0;
-    auto merge_ready = [&] {
-        for (; merged < n && prep[merged].pending == 0; ++merged) {
-            out[merged] = merge(prep[merged]);
-            if (progress)
-                progress(out[merged]);
-        }
-    };
-    const bool serial = opts.jobs <= 1;
-    parallelFor(opts.jobs, static_cast<int>(tasks.size()), [&](int t) {
-        runTask(prep[tasks[t].first], tasks[t].second);
-        if (serial)
-            merge_ready();
-    });
-    merge_ready();
-    return out;
+    PlanProgress each;
+    if (progress)
+        each = [&](size_t, WorkloadRuns &r) { progress(r); };
+    return std::move(runPlan({{configs, opts}}, each)[0]);
 }
 
 } // namespace epic

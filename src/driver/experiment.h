@@ -1,10 +1,10 @@
 /**
  * @file
- * Experiment harness shared by every table/figure reproduction binary:
- * build a workload, profile it once on the train input, compile it under
- * one or more configurations, simulate on the ref input, and validate that
+ * Experiment harness shared by every table/figure reproduction: build a
+ * workload, profile it once on the train input, compile it under one or
+ * more configurations, simulate on the ref input, and validate that
  * every configuration computes the same architected checksum as the
- * source program.
+ * source program. Every entry point is one run plan (runPlan).
  */
 #ifndef EPIC_DRIVER_EXPERIMENT_H
 #define EPIC_DRIVER_EXPERIMENT_H
@@ -31,10 +31,10 @@ struct RunOptions
     SpecModel spec_model = SpecModel::General;
     InputKind profile_input = InputKind::Train;
     InputKind run_input = InputKind::Ref;
-    /// Worker threads for the workload x config fan-out (and, via
-    /// CompileOptions::jobs, the per-function compile tier). Results
-    /// merge in workload/config order, so any jobs value produces
-    /// bit-identical reports to jobs = 1.
+    /// Worker threads for the plan's task fan-out (a plan uses the
+    /// largest of its variants' values) and, via CompileOptions::jobs,
+    /// for the per-function compile tier. Results merge in plan order,
+    /// so any jobs value produces bit-identical reports to jobs = 1.
     int jobs = 1;
     /// Hook to tweak compile options per configuration (ablations).
     std::function<void(CompileOptions &)> tweak;
@@ -46,9 +46,9 @@ struct RunOptions
     /// bytes) are completely unchanged.
     bool supervise = false;
     SupervisionOptions supervision;
-    /// Known-good architected checksum for this workload (set by
-    /// runWorkload from the source-truth run): a supervised detailed
-    /// sim whose result disagrees is treated as Faulted and retried.
+    /// Known-good architected checksum for this workload (set by the
+    /// run plan from the source-truth run): a supervised detailed sim
+    /// whose result disagrees is treated as Faulted and retried.
     std::optional<int64_t> expected_checksum;
     /// Sim-layer chaos injection (FaultInjector::simPlan); null = off.
     /// Faults are applied to the first attempt only (transient model).
@@ -61,7 +61,8 @@ struct RunOptions
     /// With a manifest: tasks whose key already has a record are not
     /// re-run; the stored record is emitted verbatim in the artifact,
     /// keeping the resumed artifact byte-identical to an uninterrupted
-    /// run.
+    /// run. The key does not fingerprint `tweak`: a manifest serves
+    /// one variant (epiclab_run's), not a plan of several.
     bool resume = false;
     /// Workload-name substring filters; empty = the whole suite.
     std::vector<std::string> only;
@@ -154,21 +155,32 @@ struct WorkloadRuns
     PipelineStats pipeline;
 };
 
-/**
- * Run one workload under one configuration: build and profile its own
- * source, compile, simulate. No source-truth run and no validation.
- */
-ConfigRun runConfig(const Workload &w, Config cfg,
-                    const RunOptions &opts = {});
+/** One set of runs in a plan: configurations under one RunOptions. */
+struct RunVariant
+{
+    std::vector<Config> configs;
+    RunOptions opts;
+};
+
+/** Called with (variant index, merged runs of one workload). */
+using PlanProgress = std::function<void(size_t, WorkloadRuns &)>;
 
 /**
- * Run one workload under a set of configurations (with validation).
- * The workload is built and profiled once; every configuration
- * compiles from that profiled program, the configurations fan out over
- * `opts.jobs` workers, and the results merge in `configs` order.
- * Warnings (a failed source run, each failed or mismatching
- * configuration) are emitted in that order after the join.
+ * Run several variants as one plan; result [v] holds variant v's
+ * workloads (those matching its `opts.only`) in suite order. One source
+ * run per (workload, run_input) and one build + profile run per
+ * (workload, profile_input) serve every variant; then all (variant x
+ * workload x config) tasks run as one flat schedule over max(opts.jobs)
+ * workers, and the last task reading a profiled program frees it. Each
+ * (variant, workload) merges — its warnings, then `progress` — as soon
+ * as it and everything before it in plan order has finished, so the
+ * output equals one runSuite call per variant at any jobs value.
  */
+std::vector<std::vector<WorkloadRuns>>
+runPlan(const std::vector<RunVariant> &variants,
+        const PlanProgress &progress = {});
+
+/** A plan of one variant over `w` (which need not be in the suite). */
 WorkloadRuns runWorkload(const Workload &w,
                          const std::vector<Config> &configs,
                          const RunOptions &opts = {});
@@ -176,18 +188,7 @@ WorkloadRuns runWorkload(const Workload &w,
 /** The standard four configurations in Table 1 order. */
 const std::vector<Config> &standardConfigs();
 
-/**
- * Run the whole suite under the given configurations as runWorkload
- * does each workload, in two parallel phases over `opts.jobs` workers:
- * first every workload's source run and single profile run, then all
- * (workload x config) tasks as one flat, workload-major schedule. A
- * workload's profiled program is freed when its last task finishes.
- * Workloads merge in suite order, so results and the warning stream
- * are identical for any jobs value. `progress` (optional) is invoked
- * per workload in suite order, after its warnings: at jobs <= 1 as
- * soon as that workload's last task completes, otherwise after the
- * join.
- */
+/** A plan of one variant; `progress` as runPlan's, per workload. */
 std::vector<WorkloadRuns>
 runSuite(const std::vector<Config> &configs, const RunOptions &opts = {},
          const std::function<void(const WorkloadRuns &)> &progress = {});

@@ -3,24 +3,33 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-
-#include "support/logging.h"
+#include <sstream>
 
 namespace epic {
+
+/** Reject a flag value: print the message to stderr and exit 2. */
+template <typename... Args>
+[[noreturn]] static void
+badValue(const Args &...args)
+{
+    std::ostringstream os;
+    (os << ... << args);
+    std::fprintf(stderr, "%s\n", os.str().c_str());
+    std::exit(2);
+}
 
 int64_t
 parseIntFlag(const char *flag, const char *text, int64_t min, int64_t max)
 {
     if (!text || !*text)
-        epic_fatal(flag, " requires a numeric value");
+        badValue(flag, " requires a numeric value");
     errno = 0;
     char *end = nullptr;
     const long long v = std::strtoll(text, &end, 0);
     if (end == text || *end != '\0')
-        epic_fatal(flag, ": '", text, "' is not a number");
+        badValue(flag, ": '", text, "' is not a number");
     if (errno == ERANGE || v < min || v > max)
-        epic_fatal(flag, ": ", text, " out of range [", min, ", ", max,
-                   "]");
+        badValue(flag, ": ", text, " out of range [", min, ", ", max, "]");
     return v;
 }
 
@@ -28,15 +37,14 @@ double
 parseFloatFlag(const char *flag, const char *text, double min, double max)
 {
     if (!text || !*text)
-        epic_fatal(flag, " requires a numeric value");
+        badValue(flag, " requires a numeric value");
     errno = 0;
     char *end = nullptr;
     const double v = std::strtod(text, &end);
     if (end == text || *end != '\0')
-        epic_fatal(flag, ": '", text, "' is not a number");
+        badValue(flag, ": '", text, "' is not a number");
     if (errno == ERANGE || !(v >= min && v <= max))
-        epic_fatal(flag, ": ", text, " out of range [", min, ", ", max,
-                   "]");
+        badValue(flag, ": ", text, " out of range [", min, ", ", max, "]");
     return v;
 }
 

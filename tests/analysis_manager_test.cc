@@ -347,7 +347,8 @@ TEST(AnalysisManagerTest, SuperblockFormationReusesCachedAnalyses)
     const Workload *w = findWorkload("164.gzip");
     ASSERT_NE(w, nullptr);
     ConfigRun r =
-        runConfig(*w, Config::IlpNs, trainOpts(AnalysisMode::Cached));
+        runWorkload(*w, {Config::IlpNs}, trainOpts(AnalysisMode::Cached))
+            .by_config.at(Config::IlpNs);
     ASSERT_TRUE(r.ok) << r.error;
     bool found = false;
     for (const PassStat &ps : r.pipeline.passes) {

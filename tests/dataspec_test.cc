@@ -333,7 +333,8 @@ TEST(DataSpecTest, ChecksumInvariantAcrossAlatGeometries)
         RunOptions opts = trainOpts();
         opts.alat_entries = g.entries;
         opts.alat_assoc = g.assoc;
-        ConfigRun r = runConfig(*w, Config::IlpCsDs, opts);
+        ConfigRun r = runWorkload(*w, {Config::IlpCsDs}, opts)
+                          .by_config.at(Config::IlpCsDs);
         ASSERT_TRUE(r.ok) << r.error;
         if (checksum == 0) {
             checksum = r.checksum;

@@ -1,11 +1,13 @@
 /**
  * @file
- * Fleet schedule tests: runWorkload/runSuite profile each workload once
- * and compile every configuration from that one profiled program, and
- * runSuite runs all (workload x config) tasks as one flat schedule.
- * Records must equal those of per-config runConfig calls (each builds
- * and profiles its own source), and records plus the warning stream
- * must not depend on the jobs value.
+ * Fleet schedule tests: a run plan profiles each workload once per
+ * profile input and compiles every configuration from that one profiled
+ * program, runs one source run per workload and run input, and runs all
+ * (variant x workload x config) tasks as one flat schedule. Records
+ * must equal those of one-configuration runWorkload calls (each builds
+ * and profiles its own source) and of one runSuite call per variant,
+ * and records plus the warning stream must not depend on the jobs
+ * value.
  */
 #include <gtest/gtest.h>
 
@@ -15,7 +17,9 @@
 #include "driver/experiment.h"
 #include "ir/builder.h"
 #include "support/faultinject.h"
+#include "support/logging.h"
 #include "support/telemetry/artifact.h"
+#include "support/telemetry/trace.h"
 #include "workloads/workload.h"
 
 namespace epic {
@@ -29,7 +33,8 @@ TEST(FleetScheduleTest, ProfileOnceMatchesPerConfigRuns)
         const WorkloadRuns runs = runWorkload(*w, standardConfigs());
         ASSERT_TRUE(runs.all_match) << name;
         for (Config cfg : standardConfigs()) {
-            const ConfigRun own = runConfig(*w, cfg);
+            const ConfigRun own =
+                runWorkload(*w, {cfg}).by_config.at(cfg);
             const ConfigRun &shared = runs.by_config.at(cfg);
             EXPECT_EQ(buildRunRegistry(shared).jsonObject(),
                       buildRunRegistry(own).jsonObject())
@@ -85,6 +90,83 @@ TEST(FleetScheduleTest, SuiteIsJobsInvariantUnderFaults)
     EXPECT_TRUE(std::is_sorted(order.begin(), order.end())) << warnings4;
 }
 
+/**
+ * Four of epiclab_report's variants on gzip and mcf: standard (branch
+ * trace buffer armed), Sentinel, no-peel and ref-profiled. A cycle
+ * budget without the degradation ladder fails some runs, so every
+ * variant has warnings to order.
+ */
+std::vector<RunVariant>
+reportVariants(int jobs)
+{
+    RunOptions base;
+    base.jobs = jobs;
+    base.only = {"gzip", "mcf"};
+    base.supervise = true;
+    base.supervision.max_cycles = 1'200'000;
+    base.supervision.ladder = false;
+    std::vector<RunVariant> v(4, RunVariant{{Config::IlpCs}, base});
+    v[0].configs = standardConfigs();
+    v[0].opts.pmu.btb_depth = 16;
+    v[1].opts.spec_model = SpecModel::Sentinel;
+    v[2].opts.tweak = [](CompileOptions &c) { c.enable_peel = false; };
+    v[3].opts.profile_input = InputKind::Ref;
+    return v;
+}
+
+TEST(FleetScheduleTest, MultiVariantPlanMatchesSeparateSuites)
+{
+    for (int jobs : {1, 4}) {
+        const std::vector<RunVariant> variants = reportVariants(jobs);
+
+        // Both runs start from fresh warning-repeat counters.
+        flushSuppressedWarnings();
+        testing::internal::CaptureStderr();
+        std::vector<std::string> separate;
+        for (const RunVariant &v : variants)
+            separate.push_back(suiteArtifact(runSuite(v.configs, v.opts),
+                                             v.configs, nullptr));
+        const std::string separate_warnings =
+            testing::internal::GetCapturedStderr();
+
+        TraceRecorder &rec = TraceRecorder::global();
+        rec.enable();
+        flushSuppressedWarnings();
+        testing::internal::CaptureStderr();
+        std::vector<size_t> progress;
+        const std::vector<std::vector<WorkloadRuns>> plan =
+            runPlan(variants, [&](size_t v, WorkloadRuns &) {
+                progress.push_back(v);
+            });
+        const std::string plan_warnings =
+            testing::internal::GetCapturedStderr();
+        rec.disable();
+
+        EXPECT_FALSE(separate_warnings.empty());
+        EXPECT_EQ(plan_warnings, separate_warnings) << "jobs " << jobs;
+        ASSERT_EQ(plan.size(), variants.size());
+        for (size_t v = 0; v < variants.size(); ++v) {
+            ASSERT_EQ(plan[v].size(), 2u);
+            EXPECT_EQ(suiteArtifact(plan[v], variants[v].configs, nullptr),
+                      separate[v])
+                << "variant " << v << ", jobs " << jobs;
+        }
+        // One progress call per (variant, workload), in plan order.
+        EXPECT_EQ(progress,
+                  (std::vector<size_t>{0, 0, 1, 1, 2, 2, 3, 3}));
+
+        // Shared preparation: one source run per workload, one profile
+        // run per (workload, profile input).
+        int source_runs = 0, profile_runs = 0;
+        for (const TraceRecorder::Event &e : rec.events()) {
+            source_runs += e.name.rfind("source-run ", 0) == 0;
+            profile_runs += e.name.rfind("build+profile ", 0) == 0;
+        }
+        EXPECT_EQ(source_runs, 2) << "jobs " << jobs;
+        EXPECT_EQ(profile_runs, 4) << "jobs " << jobs;
+    }
+}
+
 /** main() { return 1000 / divisor; } — divisor 0 on train, 7 on ref. */
 Workload
 divideWorkload()
@@ -122,7 +204,7 @@ TEST(FleetScheduleTest, ProfileTrapFailsEveryConfigAsBefore)
     ASSERT_EQ(runs.by_config.size(), standardConfigs().size());
     for (Config cfg : standardConfigs()) {
         const ConfigRun &r = runs.by_config.at(cfg);
-        const ConfigRun own = runConfig(w, cfg);
+        const ConfigRun own = runWorkload(w, {cfg}).by_config.at(cfg);
         EXPECT_FALSE(r.ok);
         EXPECT_EQ(r.sim_status, RunStatus::Faulted);
         EXPECT_EQ(r.error.rfind("profile run failed: ", 0), 0u) << r.error;

@@ -115,7 +115,8 @@ TEST(PmuTest, StreamsReconcileWithPerfmonOnRealRun)
     RunOptions opts;
     opts.run_input = InputKind::Train;
     opts.pmu = fullPmu();
-    ConfigRun r = runConfig(*w, Config::IlpCs, opts);
+    ConfigRun r =
+        runWorkload(*w, {Config::IlpCs}, opts).by_config.at(Config::IlpCs);
     ASSERT_TRUE(r.ok) << r.error;
     ASSERT_NE(r.pmu, nullptr);
 
@@ -169,7 +170,8 @@ TEST(PmuTest, SamplerOffIsInvisible)
     ASSERT_NE(w, nullptr);
     RunOptions off;
     off.run_input = InputKind::Train;
-    ConfigRun r_off = runConfig(*w, Config::IlpCs, off);
+    ConfigRun r_off =
+        runWorkload(*w, {Config::IlpCs}, off).by_config.at(Config::IlpCs);
     ASSERT_TRUE(r_off.ok) << r_off.error;
     EXPECT_EQ(r_off.pmu, nullptr);
 
@@ -182,7 +184,8 @@ TEST(PmuTest, SamplerOffIsInvisible)
     // state is byte-identical with and without observation.
     RunOptions on = off;
     on.pmu = fullPmu();
-    ConfigRun r_on = runConfig(*w, Config::IlpCs, on);
+    ConfigRun r_on =
+        runWorkload(*w, {Config::IlpCs}, on).by_config.at(Config::IlpCs);
     ASSERT_TRUE(r_on.ok) << r_on.error;
     ASSERT_NE(r_on.pmu, nullptr);
     EXPECT_EQ(pmBlob(r_off.pm), pmBlob(r_on.pm));
@@ -371,13 +374,13 @@ TEST(PmuCliDeathTest, RejectsMalformedSamplingFlags)
 {
     // The exact (flag, range) pairs epiclab_run passes to support/cli.
     EXPECT_EXIT(parseIntFlag("--sample-every", "banana", 1, INT64_MAX),
-                testing::ExitedWithCode(1), "not a number");
+                testing::ExitedWithCode(2), "not a number");
     EXPECT_EXIT(parseIntFlag("--sample-every", "0", 1, INT64_MAX),
-                testing::ExitedWithCode(1), "out of range");
+                testing::ExitedWithCode(2), "out of range");
     EXPECT_EXIT(parseIntFlag("--ear-latency-min", "10x", 1, 1 << 20),
-                testing::ExitedWithCode(1), "not a number");
+                testing::ExitedWithCode(2), "not a number");
     EXPECT_EXIT(parseIntFlag("--btb-depth", "-4", 1, 1 << 20),
-                testing::ExitedWithCode(1), "out of range");
+                testing::ExitedWithCode(2), "out of range");
 }
 
 } // namespace

@@ -166,7 +166,7 @@ TEST(SupervisionTest, HeapPageBudgetIsStructured)
  * growth past --max-mem-pages throws the structured
  * ArenaBudgetExceeded (never bad_alloc), compileProgram surfaces it
  * deterministically (lowest function id first, any --jobs), and
- * runConfig maps it to RunStatus::BudgetExceeded like every other
+ * the experiment layer maps it to RunStatus::BudgetExceeded like every other
  * budget in this file.
  */
 TEST(SupervisionTest, ArenaBudgetExhaustionIsStructured)
@@ -212,7 +212,8 @@ TEST(SupervisionTest, ArenaBudgetExhaustionIsStructured)
     opts.supervise = true;
     opts.run_input = InputKind::Train;
     opts.tweak = [](CompileOptions &o) { o.max_arena_pages = 1; };
-    ConfigRun r = runConfig(*w, Config::IlpCs, opts);
+    ConfigRun r =
+        runWorkload(*w, {Config::IlpCs}, opts).by_config.at(Config::IlpCs);
     EXPECT_FALSE(r.ok);
     EXPECT_EQ(r.sim_status, RunStatus::BudgetExceeded);
     EXPECT_NE(r.error.find("arena budget"), std::string::npos)

@@ -100,7 +100,8 @@ TEST(TelemetryTest, RunRegistryInvariantsHoldOnRealRun)
     ASSERT_NE(w, nullptr);
     RunOptions opts;
     opts.run_input = InputKind::Train;
-    ConfigRun r = runConfig(*w, Config::IlpCs, opts);
+    ConfigRun r =
+        runWorkload(*w, {Config::IlpCs}, opts).by_config.at(Config::IlpCs);
     ASSERT_TRUE(r.ok) << r.error;
 
     StatsRegistry reg = buildRunRegistry(r);
@@ -288,19 +289,19 @@ TEST(TelemetryTest, CliParsesStrictNumbers)
 TEST(CliDeathTest, RejectsMalformedAndOutOfRange)
 {
     EXPECT_EXIT(parseIntFlag("--jobs", "banana", 1, 4096),
-                testing::ExitedWithCode(1), "not a number");
+                testing::ExitedWithCode(2), "not a number");
     EXPECT_EXIT(parseIntFlag("--jobs", "4x", 1, 4096),
-                testing::ExitedWithCode(1), "not a number");
+                testing::ExitedWithCode(2), "not a number");
     EXPECT_EXIT(parseIntFlag("--jobs", "0", 1, 4096),
-                testing::ExitedWithCode(1), "out of range");
+                testing::ExitedWithCode(2), "out of range");
     EXPECT_EXIT(parseIntFlag("--jobs", "-3", 1, 4096),
-                testing::ExitedWithCode(1), "out of range");
+                testing::ExitedWithCode(2), "out of range");
     EXPECT_EXIT(parseFloatFlag("--inject-rate", "1.5", 0.0, 1.0),
-                testing::ExitedWithCode(1), "out of range");
+                testing::ExitedWithCode(2), "out of range");
     EXPECT_EXIT(parseFloatFlag("--inject-rate", "nan", 0.0, 1.0),
-                testing::ExitedWithCode(1), "out of range");
+                testing::ExitedWithCode(2), "out of range");
     EXPECT_EXIT(parseFloatFlag("--inject-rate", "", 0.0, 1.0),
-                testing::ExitedWithCode(1), "requires a numeric value");
+                testing::ExitedWithCode(2), "requires a numeric value");
 }
 
 } // namespace
