@@ -32,7 +32,7 @@
  * PMU sampling (DESIGN.md §17): --sample-every arms the interval
  * sampler whose per-category sums reconcile exactly with the end-of-run
  * Perfmon totals (declared invariants in the --json record); --samples
- * writes the epiclab.samples.v1 time-series, byte-identical for any
+ * writes the epiclab.samples.v2 time-series, byte-identical for any
  * --jobs. --ear-latency-min / --btb-depth arm the event address
  * registers and branch trace buffer; --profile (single-run only)
  * prints the hot-region cycle-category breakdown.
@@ -40,8 +40,10 @@
  * The --all report is byte-identical for every --jobs value (parallel
  * results merge in workload/config order), so `--all --jobs 1` vs
  * `--all --jobs 4` diffing clean is the determinism check CI runs. The
- * same holds for the --json artifact: records are serialized post-join
- * in suite × config index order and carry no wall times. The --trace
+ * same holds for the --json artifact: epiclab.run.v2 records are
+ * serialized post-join in suite × config index order and carry no wall
+ * times. A record's keys follow from the options alone (every counter
+ * is written, zero or not; DESIGN.md §11). The --trace
  * timeline is made of wall times and is therefore never part of any
  * byte-identity check.
  *
@@ -51,7 +53,10 @@
  * `<json>.manifest` sidecar (each append fsync'd), and the process
  * exits 130 without writing a final artifact. A later run with
  * --resume skips every manifest-recorded task and reassembles a final
- * artifact byte-identical to an uninterrupted run.
+ * artifact byte-identical to an uninterrupted run. The manifest key
+ * does not cover the compile flags (--no-peel, --no-pointer-analysis,
+ * --conservative-hb, --inject), so --resume with any of them is a
+ * usage error.
  *
  * A single run (<benchmark>) is a suite of one: its source-truth run
  * fills the record's source_checksum, and a checksum mismatch exits 1.
@@ -118,7 +123,7 @@ usage()
            "record per\n"
            "                                      workload x config "
            "(schema\n"
-           "                                      epiclab.run.v1, "
+           "                                      epiclab.run.v2, "
            "deterministic)\n"
            "  --trace <path>                      write a Chrome "
            "trace-event\n"
@@ -180,7 +185,7 @@ usage()
            "  --samples <path>                    write the interval "
            "time-series\n"
            "                                      (schema "
-           "epiclab.samples.v1);\n"
+           "epiclab.samples.v2);\n"
            "                                      needs --sample-every\n"
            "  --ear-latency-min <N>               capture D/I-cache "
            "misses with\n"
@@ -542,6 +547,19 @@ main(int argc, char **argv)
     if (opts.resume && json_path.empty())
         usageError(kUsage, "--resume needs --json <path> (the manifest "
                            "lives in <path>.manifest)");
+    // The manifest key does not fingerprint compile tweaks: a resumed
+    // run would reuse records made without them.
+    const std::pair<bool, const char *> tweaks[] = {
+        {no_peel, "--no-peel"},
+        {no_ptr, "--no-pointer-analysis"},
+        {cons_hb, "--conservative-hb"},
+        {inject, "--inject"}};
+    for (const auto &[set, flag] : tweaks)
+        if (opts.resume && set)
+            usageError(kUsage, std::string("--resume cannot reuse "
+                                           "manifest records under ") +
+                                   flag +
+                                   "; rerun the fleet without --resume");
     if (!samples_path.empty() && opts.pmu.sample_every == 0)
         usageError(kUsage, "--samples needs --sample-every <N> (nothing "
                            "would be sampled)");
@@ -589,8 +607,8 @@ main(int argc, char **argv)
     if (opts.supervise)
         installStopSignalHandlers();
     if (bench == "--all") {
-        // The legacy four-configuration sweep is the byte-stable
-        // artifact contract; ILP-CS-DS rides along only on request.
+        // The paper's four configurations; ILP-CS-DS rides along only
+        // on request.
         std::vector<Config> cfgs = standardConfigs();
         if (with_ds)
             cfgs.push_back(Config::IlpCsDs);

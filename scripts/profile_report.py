@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Render an epiclab.samples.v1 interval time-series as a phase table.
+"""Render an epiclab.samples.v2 interval time-series as a phase table.
 
 Usage: profile_report.py SAMPLES.jsonl [--phases N] [--workload W]
                          [--config C]
@@ -36,9 +36,10 @@ CATEGORIES = [
     "br_mispred_flush",
     "rse",
     "kernel",
+    "alat_recovery",
 ]
 
-SCHEMA = "epiclab.samples.v1"
+SCHEMA = "epiclab.samples.v2"
 
 
 class ReportError(Exception):
@@ -164,7 +165,7 @@ def print_stream(workload, config, stream, nphases):
 
 def main():
     ap = argparse.ArgumentParser(
-        description="Render an epiclab.samples.v1 time-series as a "
+        description="Render an epiclab.samples.v2 time-series as a "
         "per-phase cycle-category table.")
     ap.add_argument("samples", help="samples JSONL artifact")
     ap.add_argument("--phases", type=int, default=8,

@@ -4,7 +4,7 @@
 Usage: sampled_compare.py DETAILED.jsonl SAMPLED.jsonl
            [--max-err 0.05] [--min-share 0.01]
 
-Both inputs are epiclab.run.v1 JSONL artifacts over the same workload x
+Both inputs are epiclab.run.v2 JSONL artifacts over the same workload x
 config set — DETAILED from a --sim-mode=detailed (default) run, SAMPLED
 from --sim-mode=sampled. For every (workload, config) pair present in
 both, the sampled record's sim.sampled.est.<cat> extrapolation is
@@ -34,7 +34,7 @@ class CompareError(Exception):
 
 
 def load(path):
-    """Read a run.v1 JSONL artifact into {(workload, config): stats}."""
+    """Read a run.v2 JSONL artifact into {(workload, config): stats}."""
     recs = {}
     try:
         with open(path) as f:
@@ -48,7 +48,7 @@ def load(path):
             r = json.loads(ln)
         except json.JSONDecodeError as e:
             raise CompareError(f"{path}: bad JSONL line: {e}")
-        if r.get("schema") != "epiclab.run.v1":
+        if r.get("schema") != "epiclab.run.v2":
             raise CompareError(
                 f"{path}: unexpected schema {r.get('schema')!r}")
         if not r.get("ok"):
@@ -80,11 +80,7 @@ def check_pair(key, det, smp, args, rows):
                   if k.startswith("sim.sampled.est."))
     for cat in cats:
         est = smp[f"sim.sampled.est.{cat}"]
-        # Zero-valued categories are zero-gated out of the artifact
-        # (e.g. alat_recovery in a detailed run where every chk.a
-        # hits); a sampled run can still estimate a few cycles there
-        # from cold-window ALAT warm-up, so a missing key reads as 0.
-        true = det.get(f"sim.cycles.{cat}", 0)
+        true = det[f"sim.cycles.{cat}"]
         share = true / det_total
         err = abs(est - true) / true if true else (1.0 if est else 0.0)
         gated = share >= args.min_share

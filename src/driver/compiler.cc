@@ -126,11 +126,6 @@ compileProgram(const Program &source, const CompileOptions &opts)
                     out.fallback.faults_caught++;
                 }
             }
-            if (!opts.firewall.enabled) {
-                epic_panic("IR verification failed after inlining [",
-                           configName(opts.config), "]: ", fail_err, " (",
-                           fail_count, " error(s); firewall disabled)");
-            }
             FallbackEvent ev;
             ev.function = "<whole program>";
             ev.attempted = opts.config;

@@ -125,16 +125,23 @@ buildImage(const Workload &w, const Program &prog, Memory &mem,
 }
 
 /**
- * Simulation of a compiled program under `sup`: budgets + deadline,
- * validation-aware bounded retry of the detailed sim, then the
+ * Simulation of a compiled program under opts.supervision: budgets +
+ * deadline, validation-aware bounded retry of the detailed sim (a
+ * result that disagrees with `source_checksum` is Faulted), then the
  * degradation ladder (functional-only, then skip-with-record) —
  * mirroring the compile firewall's rung discipline at the sim layer.
- * An unsupervised run is one attempt with no budget and no ladder.
+ * An unsupervised run is one unvalidated attempt with no budget and no
+ * ladder.
  */
 void
 runSim(const Workload &w, Config cfg, const RunOptions &opts,
-       const SupervisionOptions &sup, Program &prog, ConfigRun &out)
+       int64_t source_checksum, Program &prog, ConfigRun &out)
 {
+    SupervisionOptions sup;
+    sup.max_attempts = 1;
+    sup.ladder = false;
+    if (opts.supervise)
+        sup = opts.supervision;
     SupervisionScope scope(sup.deadline_ms > 0);
 
     TimingOptions base;
@@ -192,12 +199,10 @@ runSim(const Workload &w, Config cfg, const RunOptions &opts,
         out.sim_attempts = attempt + 1;
         // Validation-aware retry: a detailed sim that "succeeds" with
         // the wrong architected result is a silent fault.
-        if (r.ok && opts.expected_checksum &&
-            r.ret_value != *opts.expected_checksum)
+        if (r.ok && opts.supervise && r.ret_value != source_checksum)
             r.fail(RunStatus::Faulted,
                    "checksum mismatch (" + std::to_string(r.ret_value) +
-                       " vs " +
-                       std::to_string(*opts.expected_checksum) + ")");
+                       " vs " + std::to_string(source_checksum) + ")");
         if (r.ok || stopped())
             break;
         if (r.status == RunStatus::BudgetExceeded)
@@ -269,8 +274,7 @@ runSim(const Workload &w, Config cfg, const RunOptions &opts,
                               std::strcmp(out.sim_rung, "detailed") !=
                                   0 ||
                               !out.ok;
-        const bool proven = out.ok && opts.expected_checksum &&
-                            out.checksum == *opts.expected_checksum;
+        const bool proven = out.ok && out.checksum == source_checksum;
         if (detected || proven)
             opts.sim_inject->markCaught(plan.record);
     }
@@ -279,7 +283,7 @@ runSim(const Workload &w, Config cfg, const RunOptions &opts,
 /** Compile a profiled source under one configuration and simulate it. */
 ConfigRun
 compileAndRun(const Workload &w, Config cfg, const Program &src,
-              const RunOptions &opts)
+              const RunOptions &opts, int64_t source_checksum)
 {
     ConfigRun out;
     out.config = cfg;
@@ -318,11 +322,7 @@ compileAndRun(const Workload &w, Config cfg, const Program &src,
     out.instrs_final = c.instrs_final;
 
     TraceSpan sim_span("experiment.phase", phase_label("simulate"));
-    SupervisionOptions single_attempt;
-    single_attempt.max_attempts = 1;
-    single_attempt.ladder = false;
-    runSim(w, cfg, opts, opts.supervise ? opts.supervision : single_attempt,
-           *c.prog, out);
+    runSim(w, cfg, opts, source_checksum, *c.prog, out);
     out.prog = std::shared_ptr<Program>(std::move(c.prog));
     return out;
 }
@@ -387,7 +387,7 @@ struct Entry
 {
     size_t variant = 0;
     const Workload *w = nullptr;
-    RunOptions opts; ///< + expected_checksum when supervised
+    const RunOptions *opts = nullptr;
     Prep *source = nullptr;
     Prep *profile = nullptr;
     std::vector<ConfigRun> results; ///< one slot per configuration
@@ -408,7 +408,8 @@ runTask(Entry &e, size_t i)
         r.error = "interrupted by stop request";
     } else if (!r.resumed) {
         if (p.profiled) {
-            r = compileAndRun(*e.w, r.config, *p.profiled, e.opts);
+            r = compileAndRun(*e.w, r.config, *p.profiled, *e.opts,
+                              e.source->checksum);
         } else {
             r.sim_status = RunStatus::Faulted;
             r.error = p.error;
@@ -417,9 +418,9 @@ runTask(Entry &e, size_t i)
         // the task finishes, so a later kill -9 cannot lose it. Results
         // produced after a stop request are not recorded: they may be
         // partial (Deadline) and will simply re-run on resume.
-        if (e.opts.manifest && (r.ok || !stopped()))
-            e.opts.manifest->record(
-                manifestKey(*e.w, r.config, e.opts),
+        if (e.opts->manifest && (r.ok || !stopped()))
+            e.opts->manifest->record(
+                manifestKey(*e.w, r.config, *e.opts),
                 runRecordJson(e.w->name, e.source->checksum, r));
     }
     if (--e.profile->pending == 0)
@@ -491,7 +492,7 @@ runPlanOn(const std::vector<RunVariant> &variants,
             Entry &e = entries.emplace_back();
             e.variant = v;
             e.w = w;
-            e.opts = opts;
+            e.opts = &opts;
             e.source = prep(w, opts.run_input, false);
             e.profile = prep(w, opts.profile_input, true);
             // Records a resumed manifest already holds are reused; every
@@ -529,10 +530,6 @@ runPlanOn(const std::vector<RunVariant> &variants,
     for (Entry &e : entries) {
         if (!e.source->error.empty())
             continue;
-        // Supervised runs validate every accepted result against the
-        // source truth (silent-corruption detection drives retry).
-        if (e.opts.supervise)
-            e.opts.expected_checksum = e.source->checksum;
         e.pending = static_cast<int>(e.results.size());
         e.profile->pending += e.pending;
         for (size_t c = 0; c < e.results.size(); ++c)
@@ -544,6 +541,8 @@ runPlanOn(const std::vector<RunVariant> &variants,
 
     // Merge the finished prefix of the plan as soon as it grows, so
     // warnings and `progress` come in plan order at any jobs value.
+    // A variant's last merge flushes the warn-repeat counters: each
+    // variant's warnings stand alone, as from its own runSuite call.
     std::vector<std::vector<WorkloadRuns>> out(variants.size());
     std::mutex mu;
     size_t merged = 0;
@@ -555,6 +554,9 @@ runPlanOn(const std::vector<RunVariant> &variants,
             out[e.variant].push_back(merge(e));
             if (progress)
                 progress(e.variant, out[e.variant].back());
+            if (merged + 1 == entries.size() ||
+                entries[merged + 1].variant != e.variant)
+                flushSuppressedWarnings();
         }
     };
     merge_ready();

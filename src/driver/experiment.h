@@ -41,15 +41,11 @@ struct RunOptions
 
     // ---- Run supervision (support/supervision/supervise.h) ----
     /// Arm the supervision layer: budgets/deadline below, validation-
-    /// aware bounded retry, and the sim degradation ladder. Off by
-    /// default — the legacy single-attempt behaviour (and its artifact
-    /// bytes) are completely unchanged.
+    /// aware bounded retry against the source-truth checksum, and the
+    /// sim degradation ladder. Off by default: one detailed attempt,
+    /// whose record equals a clean supervised one.
     bool supervise = false;
     SupervisionOptions supervision;
-    /// Known-good architected checksum for this workload (set by the
-    /// run plan from the source-truth run): a supervised detailed sim
-    /// whose result disagrees is treated as Faulted and retried.
-    std::optional<int64_t> expected_checksum;
     /// Sim-layer chaos injection (FaultInjector::simPlan); null = off.
     /// Faults are applied to the first attempt only (transient model).
     FaultInjector *sim_inject = nullptr;
@@ -62,7 +58,8 @@ struct RunOptions
     /// re-run; the stored record is emitted verbatim in the artifact,
     /// keeping the resumed artifact byte-identical to an uninterrupted
     /// run. The key does not fingerprint `tweak`: a manifest serves
-    /// one variant (epiclab_run's), not a plan of several.
+    /// one variant (epiclab_run's, which refuses --resume with the
+    /// flags that set `tweak`), not a plan of several.
     bool resume = false;
     /// Workload-name substring filters; empty = the whole suite.
     std::vector<std::string> only;
@@ -78,8 +75,8 @@ struct RunOptions
     uint64_t detail_window = 0; ///< ops simulated in detail per window
 
     // ---- PMU sampling (sim/pmu/pmu.h) ----
-    /// Forwarded to every detailed timing sim; off by default (legacy
-    /// artifact bytes unchanged). Enabled features put a PmuData on the
+    /// Forwarded to every detailed timing sim; off by default (no pmu.*
+    /// keys in the record). Enabled features put a PmuData on the
     /// ConfigRun and fold a fingerprint into the manifest key, so a
     /// resumed fleet never mixes sampled and unsampled records.
     PmuOptions pmu;
@@ -120,10 +117,10 @@ struct ConfigRun
     std::shared_ptr<PmuData> pmu;
 
     /// Sampled-mode extrapolation (enabled only under SimMode::Sampled;
-    /// default-disabled state keeps legacy artifact bytes unchanged).
+    /// records sim.sampled.* keys only then).
     SampledStats sampled;
 
-    // ---- Supervision outcome (defaults reproduce legacy behaviour) ----
+    // ---- Supervision outcome (supervision.* in the record) ----
     /// Structured status of the accepted result (or last failure).
     RunStatus sim_status = RunStatus::Ok;
     /// Which ladder rung produced it: "detailed" (full timing sim),
@@ -173,8 +170,9 @@ using PlanProgress = std::function<void(size_t, WorkloadRuns &)>;
  * workload x config) tasks run as one flat schedule over max(opts.jobs)
  * workers, and the last task reading a profiled program frees it. Each
  * (variant, workload) merges — its warnings, then `progress` — as soon
- * as it and everything before it in plan order has finished, so the
- * output equals one runSuite call per variant at any jobs value.
+ * as it and everything before it in plan order has finished, and each
+ * variant's last merge calls flushSuppressedWarnings(), so the output
+ * equals one runSuite call per variant at any jobs value.
  */
 std::vector<std::vector<WorkloadRuns>>
 runPlan(const std::vector<RunVariant> &variants,

@@ -88,15 +88,8 @@ enum class SnapshotStrategy : uint8_t {
 /** Firewall knobs, part of CompileOptions. */
 struct FirewallOptions
 {
-    /// When false, any gate failure is fatal (the legacy verifyOrDie
-    /// behaviour) instead of degrading the function.
-    bool enabled = true;
     /// Per-attempt snapshot strategy (see SnapshotStrategy).
     SnapshotStrategy snapshot = SnapshotStrategy::kWatermark;
-    /// Budget overrun: a rung fails when a pass grows the function past
-    /// max(min_growth_instrs, growth_budget * original size).
-    double growth_budget = 64.0;
-    int min_growth_instrs = 4096;
     /// Optional fault-injection engine (not owned). Corrupts the IR at
     /// pass boundaries; the firewall marks which faults its gates
     /// caught.

@@ -11,8 +11,8 @@
 
 namespace epic {
 
-const char *const kRunSchemaVersion = "epiclab.run.v1";
-const char *const kSamplesSchemaVersion = "epiclab.samples.v1";
+const char *const kRunSchemaVersion = "epiclab.run.v2";
+const char *const kSamplesSchemaVersion = "epiclab.samples.v2";
 
 namespace {
 
@@ -32,18 +32,10 @@ pathComponent(const std::string &name)
 void
 recordPerfmon(StatsRegistry &reg, const Perfmon &pm)
 {
-    for (int c = 0; c < Perfmon::kNumCats; ++c) {
-        // AlatRecovery can only be nonzero under ILP-CS-DS; omitting
-        // the key when zero keeps the legacy four-configuration
-        // artifacts byte-identical (the category sum is prefix-based,
-        // so a missing zero addend cannot break the invariant).
-        if (static_cast<CycleCat>(c) == CycleCat::AlatRecovery &&
-            pm.cycles[c] == 0)
-            continue;
+    for (int c = 0; c < Perfmon::kNumCats; ++c)
         reg.setInt(std::string("sim.cycles.") +
                        cycleCatKey(static_cast<CycleCat>(c)),
                    static_cast<int64_t>(pm.cycles[c]));
-    }
     reg.setInt("sim.cycles_total", static_cast<int64_t>(pm.total()));
     reg.setInt("sim.cycles_planned", static_cast<int64_t>(pm.planned()));
     reg.declareSum("cycle-categories-sum", "sim.cycles.",
@@ -101,18 +93,16 @@ recordPerfmon(StatsRegistry &reg, const Perfmon &pm)
     reg.setInt("sim.icache_provenance.l2i_peel_remainder",
                static_cast<int64_t>(pm.l2i_miss_peel_remainder));
 
-    // ALAT activity exists only under ILP-CS-DS; the keys are omitted
-    // entirely when quiet so legacy artifacts keep their exact bytes.
-    if (pm.advanced_loads || pm.alat_hits || pm.alat_misses) {
-        reg.setInt("sim.alat.advanced_loads",
-                   static_cast<int64_t>(pm.advanced_loads));
-        reg.setInt("sim.alat.hits", static_cast<int64_t>(pm.alat_hits));
-        reg.setInt("sim.alat.misses",
-                   static_cast<int64_t>(pm.alat_misses));
-    }
+    reg.setInt("sim.alat.advanced_loads",
+               static_cast<int64_t>(pm.advanced_loads));
+    reg.setInt("sim.alat.hits", static_cast<int64_t>(pm.alat_hits));
+    reg.setInt("sim.alat.misses", static_cast<int64_t>(pm.alat_misses));
 
     // Per-function attribution as a distribution (unordered iteration
-    // is fine: count/sum/min/max are order-independent).
+    // is fine: count/sum/min/max are order-independent). Registered at
+    // zero first, so a run with no timed function has the same keys.
+    for (const char *part : {".count", ".sum", ".min", ".max"})
+        reg.setInt(std::string("sim.func_cycles") + part, 0);
     for (const auto &[fid, cyc] : pm.func_cycles) {
         (void)fid;
         reg.addSample("sim.func_cycles", static_cast<int64_t>(cyc));
@@ -122,17 +112,14 @@ recordPerfmon(StatsRegistry &reg, const Perfmon &pm)
 void
 recordPmu(StatsRegistry &reg, const PmuData &pmu)
 {
-    // Every pmu.* path is registered only for PMU-enabled runs, so
-    // PMU-off artifacts keep their exact legacy bytes. Each stream gets
-    // a declared *equality* invariant (a sum with exactly one addend)
-    // against the sim.* total recordPerfmon registered: reconciliation
-    // is checked at dump time like every other declared invariant.
-    if (pmu.stride() != 0) {
+    // Every pmu.* path is registered only for the PMU features the run
+    // options armed. Each stream gets a declared *equality* invariant
+    // (a sum with exactly one addend) against the sim.* total
+    // recordPerfmon registered: reconciliation is checked at dump time
+    // like every other declared invariant.
+    if (pmu.options().sample_every != 0) {
         for (int c = 0; c < Perfmon::kNumCats; ++c) {
             const CycleCat cat = static_cast<CycleCat>(c);
-            if (cat == CycleCat::AlatRecovery &&
-                pmu.sampledCycles(cat) == 0)
-                continue; // same zero-gate as recordPerfmon
             const std::string path =
                 std::string("pmu.interval.cycles.") + cycleCatKey(cat);
             reg.setInt(path,
@@ -222,8 +209,6 @@ recordPmu(StatsRegistry &reg, const PmuData &pmu)
         }
         for (int c = 0; c < Perfmon::kNumCats; ++c) {
             const CycleCat cat = static_cast<CycleCat>(c);
-            if (cat == CycleCat::AlatRecovery && totals[c] == 0)
-                continue; // same zero-gate as recordPerfmon
             const std::string path =
                 std::string("pmu.region.cycles.") + cycleCatKey(cat);
             reg.setInt(path, totals[c]);
@@ -238,8 +223,8 @@ recordPmu(StatsRegistry &reg, const PmuData &pmu)
 void
 recordSampled(StatsRegistry &reg, const SampledStats &s)
 {
-    // Registered only for sampled runs: detailed-mode artifacts keep
-    // their exact legacy bytes. The estimates live under their own
+    // Registered only for sampled runs (a run option). The estimates
+    // live under their own
     // sim.sampled.est.* namespace — deliberately NOT under sim.cycles.*
     // — so no consumer can mistake an extrapolation for a measured
     // total; the declared invariant checks the estimate's internal
@@ -255,14 +240,10 @@ recordSampled(StatsRegistry &reg, const SampledStats &s)
                static_cast<int64_t>(s.total_ops));
     reg.setInt("sim.sampled.detail_cycles",
                static_cast<int64_t>(s.detail_cycles));
-    for (int c = 0; c < Perfmon::kNumCats; ++c) {
-        if (static_cast<CycleCat>(c) == CycleCat::AlatRecovery &&
-            s.est_cycles[c] == 0)
-            continue; // same zero-gate as recordPerfmon
+    for (int c = 0; c < Perfmon::kNumCats; ++c)
         reg.setInt(std::string("sim.sampled.est.") +
                        cycleCatKey(static_cast<CycleCat>(c)),
                    static_cast<int64_t>(s.est_cycles[c]));
-    }
     reg.setInt("sim.sampled.est_total",
                static_cast<int64_t>(s.est_total));
     reg.declareSum("sampled-est-cycles-sum", "sim.sampled.est.",
@@ -299,13 +280,8 @@ recordCompile(StatsRegistry &reg, const CompileStats &stats,
     reg.setInt("compile.spec.moved", stats.spec.moved);
     reg.setInt("compile.spec.promoted", stats.spec.promoted);
     reg.setInt("compile.spec.spec_loads", stats.spec.spec_loads);
-    // Data speculation (the "dataspec" model) is a no-op below
-    // ILP-CS-DS; the keys appear only when the pass did something so
-    // the legacy four-configuration artifacts keep their exact bytes.
-    if (stats.spec.advanced || stats.spec.checks) {
-        reg.setInt("compile.spec.advanced", stats.spec.advanced);
-        reg.setInt("compile.spec.checks", stats.spec.checks);
-    }
+    reg.setInt("compile.spec.advanced", stats.spec.advanced);
+    reg.setInt("compile.spec.checks", stats.spec.checks);
     reg.setInt("compile.regalloc.gr_used", stats.ra.gr_used);
     reg.setInt("compile.regalloc.spilled", stats.ra.spilled);
     reg.setInt("compile.sched.groups", stats.sched.groups);
@@ -377,8 +353,9 @@ recordFallback(StatsRegistry &reg, const FallbackReport &fb)
     reg.setInt("firewall.faults.injected", fb.faults_injected);
     reg.setInt("firewall.faults.caught", fb.faults_caught);
 
-    for (Config c : standardConfigs())
-        reg.setInt(std::string("firewall.fallback_rung.") + configName(c),
+    for (int c = 0; c <= static_cast<int>(Config::IlpCsDs); ++c)
+        reg.setInt(std::string("firewall.fallback_rung.") +
+                       configName(static_cast<Config>(c)),
                    0);
     for (const FallbackEvent &e : fb.events)
         reg.addInt(std::string("firewall.fallback_rung.") +
@@ -393,25 +370,18 @@ recordFallback(StatsRegistry &reg, const FallbackReport &fb)
 void
 recordSupervision(StatsRegistry &reg, const ConfigRun &r)
 {
-    // Quiet runs (single detailed attempt, no checkpoint) register
-    // nothing: legacy artifacts keep their exact bytes, and supervised
-    // clean runs stay byte-identical to unsupervised ones — which is
-    // what lets a resumed chaos run diff clean against a reference.
-    const bool detailed = std::strcmp(r.sim_rung, "detailed") == 0;
-    if (r.sim_attempts <= 1 && detailed && r.ckpt_instrs == 0 &&
-        r.sim_status == RunStatus::Ok)
-        return;
+    // An unsupervised run is one detailed attempt, so a supervised
+    // clean run records the same values — which is what lets a resumed
+    // chaos run diff clean against an unsupervised reference.
     reg.setInt("supervision.attempts", r.sim_attempts);
     reg.setInt("supervision.status", static_cast<int>(r.sim_status));
     for (const char *rung : {"detailed", "functional", "skipped"})
         reg.setInt(std::string("supervision.rung.") + rung,
                    std::strcmp(r.sim_rung, rung) == 0 ? 1 : 0);
-    if (r.ckpt_instrs) {
-        reg.setInt("supervision.checkpoint_instrs",
-                   static_cast<int64_t>(r.ckpt_instrs));
-        reg.setInt("supervision.checkpoint_bytes",
-                   static_cast<int64_t>(r.ckpt_bytes));
-    }
+    reg.setInt("supervision.checkpoint_instrs",
+               static_cast<int64_t>(r.ckpt_instrs));
+    reg.setInt("supervision.checkpoint_bytes",
+               static_cast<int64_t>(r.ckpt_bytes));
 }
 
 StatsRegistry
@@ -498,20 +468,13 @@ samplesArtifact(const std::vector<WorkloadRuns> &suite,
             // the interval cycles cover only the detailed windows, and
             // downstream consumers apply scale_num/scale_den themselves
             // (an extrapolated stream must never cross-foot silently).
-            // Detailed-mode lines are byte-identical to the legacy
-            // format — no mode key at all.
+            // Detailed-mode lines carry no mode key at all.
             std::string mode_tag;
             if (r.sampled.enabled)
                 mode_tag = ",\"mode\":\"sampled\",\"scale_num\":" +
                            std::to_string(r.sampled.total_ops) +
                            ",\"scale_den\":" +
                            std::to_string(r.sampled.detail_ops);
-            // Run-level gate: an ILP-CS-DS run with recoveries prints
-            // the alat_recovery column on every line (a consistent
-            // per-run key set); legacy runs never print it at all.
-            const bool emit_alat =
-                r.pm.cycles[static_cast<int>(CycleCat::AlatRecovery)] !=
-                0;
             int64_t seq = 0;
             for (const PmuSample &s : r.pmu->samples()) {
                 os << "{\"schema\":\"" << kSamplesSchemaVersion
@@ -521,10 +484,6 @@ samplesArtifact(const std::vector<WorkloadRuns> &suite,
                    << ",\"cycles_end\":" << s.cycles_end
                    << ",\"intervals\":" << s.intervals << ",\"cycles\":{";
                 for (int c = 0; c < Perfmon::kNumCats; ++c) {
-                    if (static_cast<CycleCat>(c) ==
-                            CycleCat::AlatRecovery &&
-                        !emit_alat)
-                        continue;
                     if (c)
                         os << ',';
                     os << '"' << cycleCatKey(static_cast<CycleCat>(c))

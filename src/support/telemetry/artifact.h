@@ -13,6 +13,13 @@
  * reach the artifact, so the bytes are identical for any `--jobs N`:
  * records are produced post-join, in suite × config index order.
  *
+ * A record's key set is fixed by its run options (PMU features, sim
+ * mode) and its outcome (failed, functional-only or detailed), never by
+ * a measured value: a counter that stayed zero is still emitted. The
+ * per-pass tree `compile.pass.*` (the passes each rung ran, quiet
+ * analysis kinds left out) and `compile.instr_delta_total` (clean
+ * compilations only) are the two exceptions (DESIGN.md §11).
+ *
  * Declared invariants travel with the registry and are checked when an
  * artifact is built:
  *  - cycle-categories-sum: Figure 5 categories sum to sim.cycles_total
@@ -28,7 +35,7 @@
  *    with sim.cycles.<cat> (DESIGN.md §17)
  *
  * PMU-enabled runs additionally emit a second artifact: the
- * `epiclab.samples.v1` JSONL time-series (one line per interval sample
+ * `epiclab.samples.v2` JSONL time-series (one line per interval sample
  * per workload × config, same post-join index order, --jobs invariant).
  */
 #ifndef EPIC_SUPPORT_TELEMETRY_ARTIFACT_H
@@ -81,8 +88,7 @@ void recordCompile(StatsRegistry &reg, const CompileStats &stats,
 
 /**
  * Register sampled-mode extrapolation under `sim.sampled.*` — only for
- * sampled runs (detailed-mode artifacts keep their legacy bytes). The
- * estimates live in their own namespace, never under sim.cycles.*, so
+ * sampled runs. The estimates live in their own namespace, never under sim.cycles.*, so
  * an extrapolation can't be mistaken for a measured total; the declared
  * invariant checks the estimate's internal cross-foot.
  */
@@ -92,9 +98,9 @@ void recordSampled(StatsRegistry &reg, const SampledStats &s);
 void recordFallback(StatsRegistry &reg, const FallbackReport &fb);
 
 /**
- * Register supervision outcome under `supervision.*` — only when the
- * run was eventful (retried, degraded, failed, or checkpointed), so
- * quiet runs keep their legacy artifact bytes.
+ * Register supervision outcome under `supervision.*`: attempts, status,
+ * ladder rung and checkpoint size. An unsupervised run records one
+ * detailed attempt, the same values as a clean supervised one.
  */
 void recordSupervision(StatsRegistry &reg, const ConfigRun &r);
 
@@ -116,7 +122,7 @@ std::string suiteArtifact(const std::vector<WorkloadRuns> &suite,
                           std::vector<std::string> *violations);
 
 /**
- * The `epiclab.samples.v1` interval time-series for a suite result:
+ * The `epiclab.samples.v2` interval time-series for a suite result:
  * one JSONL line per retained sample of every PMU-enabled (workload ×
  * config) run, in the same index order as suiteArtifact — byte-identical
  * for any --jobs value. Runs without PMU data contribute no lines.

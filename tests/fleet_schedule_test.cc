@@ -119,8 +119,6 @@ TEST(FleetScheduleTest, MultiVariantPlanMatchesSeparateSuites)
     for (int jobs : {1, 4}) {
         const std::vector<RunVariant> variants = reportVariants(jobs);
 
-        // Both runs start from fresh warning-repeat counters.
-        flushSuppressedWarnings();
         testing::internal::CaptureStderr();
         std::vector<std::string> separate;
         for (const RunVariant &v : variants)
@@ -131,7 +129,6 @@ TEST(FleetScheduleTest, MultiVariantPlanMatchesSeparateSuites)
 
         TraceRecorder &rec = TraceRecorder::global();
         rec.enable();
-        flushSuppressedWarnings();
         testing::internal::CaptureStderr();
         std::vector<size_t> progress;
         const std::vector<std::vector<WorkloadRuns>> plan =
@@ -165,6 +162,36 @@ TEST(FleetScheduleTest, MultiVariantPlanMatchesSeparateSuites)
         EXPECT_EQ(source_runs, 2) << "jobs " << jobs;
         EXPECT_EQ(profile_runs, 4) << "jobs " << jobs;
     }
+}
+
+/**
+ * Warn-repeat counters restart with every variant: a plan's warnings do
+ * not depend on what ran before it in the process. With a repeat limit
+ * of 1, a counter left over from an earlier plan would silence these.
+ */
+TEST(FleetScheduleTest, IdenticalFailingPlansEachPrintTheirWarnings)
+{
+    RunOptions opts;
+    opts.only = {"gzip"};
+    opts.supervise = true;
+    opts.supervision.max_cycles = 1000; // every sim fails
+    opts.supervision.ladder = false;
+    const RunVariant v{{Config::IlpCs}, opts};
+    auto warnings = [](const std::vector<RunVariant> &plan) {
+        testing::internal::CaptureStderr();
+        runPlan(plan);
+        return testing::internal::GetCapturedStderr();
+    };
+
+    setWarnRepeatLimit(1);
+    const std::string first = warnings({v});
+    const std::string second = warnings({v});
+    const std::string both = warnings({v, v});
+    setWarnRepeatLimit(5); // restore default for other tests
+
+    EXPECT_NE(first.find("164.gzip [ILP-CS]"), std::string::npos) << first;
+    EXPECT_EQ(second, first);
+    EXPECT_EQ(both, first + first);
 }
 
 /** main() { return 1000 / divisor; } — divisor 0 on train, 7 on ref. */

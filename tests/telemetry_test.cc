@@ -2,15 +2,18 @@
  * @file
  * Telemetry-layer tests: the hierarchical stats registry enforces its
  * declared sum invariants at dump time; JSONL run artifacts are
- * byte-identical for any --jobs value; the Chrome trace timeline is
- * well-formed with monotonic, properly-nested spans; warn rate
- * limiting suppresses identical-message floods; and strict CLI numeric
- * parsing dies on malformed values instead of atoi-ing them to zero.
+ * byte-identical for any --jobs value; a record's key set follows from
+ * its run options, never from a counter being zero; the Chrome trace
+ * timeline is well-formed with monotonic, properly-nested spans; warn
+ * rate limiting suppresses identical-message floods; and strict CLI
+ * numeric parsing dies on malformed values instead of atoi-ing them to
+ * zero.
  */
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <map>
+#include <set>
 #include <vector>
 
 #include "driver/experiment.h"
@@ -154,6 +157,64 @@ TEST(TelemetryTest, JsonlArtifactByteIdenticalAcrossJobs)
         ++tags;
     EXPECT_EQ(lines, standardConfigs().size());
     EXPECT_EQ(tags, standardConfigs().size());
+}
+
+/** A record's stats keys, minus the per-pass tree and its total. */
+std::set<std::string>
+fixedKeys(const ConfigRun &r)
+{
+    std::set<std::string> keys;
+    const StatsRegistry reg = buildRunRegistry(r);
+    for (const auto &[path, stat] : reg.stats())
+        if (!(stat.flags & kStatVolatile) &&
+            path.rfind("compile.pass.", 0) != 0 &&
+            path != "compile.instr_delta_total")
+            keys.insert(path);
+    return keys;
+}
+
+TEST(TelemetryTest, RecordKeySetDependsOnOptionsOnly)
+{
+    std::vector<Config> configs = standardConfigs();
+    configs.push_back(Config::IlpCsDs);
+    RunOptions off;
+    off.jobs = 4;
+    off.only = {"gzip", "gap"};
+    RunOptions sampled = off;
+    sampled.pmu.sample_every = 65536;
+    for (const RunOptions &opts : {off, sampled}) {
+        const std::vector<WorkloadRuns> suite = runSuite(configs, opts);
+        ASSERT_EQ(suite.size(), 2u);
+        std::set<std::string> first;
+        for (const WorkloadRuns &runs : suite) {
+            for (const auto &[cfg, r] : runs.by_config) {
+                ASSERT_TRUE(r.ok) << runs.name << " " << r.error;
+                const std::set<std::string> keys = fixedKeys(r);
+                if (first.empty())
+                    first = keys;
+                EXPECT_EQ(keys, first)
+                    << runs.name << " [" << configName(cfg) << "], PMU "
+                    << (opts.pmu.enabled() ? "on" : "off");
+            }
+        }
+        EXPECT_EQ(first.count("sim.alat.advanced_loads"), 1u);
+        EXPECT_EQ(first.count("pmu.interval.samples"),
+                  opts.pmu.enabled() ? 1u : 0u);
+    }
+
+    // A clean supervised run records what an unsupervised one does.
+    const Workload *w = findWorkload("164.gzip");
+    ASSERT_NE(w, nullptr);
+    RunOptions supervised = trainOpts(1);
+    supervised.supervise = true;
+    const WorkloadRuns plain = runWorkload(*w, {Config::IlpCs}, trainOpts(1));
+    const WorkloadRuns super = runWorkload(*w, {Config::IlpCs}, supervised);
+    const ConfigRun &rp = plain.by_config.at(Config::IlpCs);
+    const ConfigRun &rs = super.by_config.at(Config::IlpCs);
+    ASSERT_TRUE(rp.ok && rs.ok);
+    EXPECT_EQ(rs.sim_attempts, 1);
+    EXPECT_EQ(runRecordJson(w->name, super.source_checksum, rs),
+              runRecordJson(w->name, plain.source_checksum, rp));
 }
 
 /**
