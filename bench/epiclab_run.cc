@@ -60,6 +60,9 @@
  *
  * A single run (<benchmark>) is a suite of one: its source-truth run
  * fills the record's source_checksum, and a checksum mismatch exits 1.
+ * <benchmark> is an exact workload name or a substring of exactly one.
+ * A single run keeps no manifest, so --resume needs --all; stopped by
+ * a signal, it too exits 130 without writing --json.
  *
  * Exit status: 2 on a bad command line — an unknown option or name, a
  * missing or malformed value, incompatible flags — before anything
@@ -244,6 +247,19 @@ writeArtifacts(const std::vector<WorkloadRuns> &suite,
 }
 
 /**
+ * The post-run stop check: a run stopped by SIGINT/SIGTERM exits 130
+ * without writing a final artifact (true here, after telling stderr).
+ */
+bool
+interrupted()
+{
+    if (!supervisionActive() || !stopRequested())
+        return false;
+    fprintf(stderr, "interrupted: no final artifact written\n");
+    return true;
+}
+
+/**
  * Full-suite report: every workload under the standard four
  * configurations. Prints only deterministic quantities (checksums,
  * cycle counts, compile counters), never wall times, so the bytes are
@@ -270,13 +286,12 @@ runAll(RunOptions &opts, const std::vector<Config> &configs,
 
     std::vector<WorkloadRuns> suite = runSuite(configs, opts);
 
-    if (supervisionActive() && stopRequested()) {
+    if (interrupted()) {
         // Completed records are already durable (fsync'd appends); a
         // partial final artifact would only shadow them. Exit like an
         // interrupted shell command.
         fprintf(stderr,
-                "interrupted: %zu record(s) durable in manifest; rerun "
-                "with --resume\n",
+                "%zu record(s) durable in manifest; rerun with --resume\n",
                 manifest.size());
         return 130;
     }
@@ -544,6 +559,9 @@ main(int argc, char **argv)
         o.firewall.inject = inj;
     };
 
+    if (opts.resume && bench != "--all")
+        usageError(kUsage, "--resume needs --all (a single run keeps no "
+                           "manifest to resume from)");
     if (opts.resume && json_path.empty())
         usageError(kUsage, "--resume needs --json <path> (the manifest "
                            "lives in <path>.manifest)");
@@ -585,6 +603,21 @@ main(int argc, char **argv)
     }
     if (bench == "--all" && matchWorkloads(opts.only).empty())
         usageError(kUsage, "--only matched no workloads (see --list)");
+    const Workload *w = bench == "--all" ? nullptr : findWorkload(bench);
+    if (bench != "--all" && !w) {
+        const std::vector<const Workload *> matches = matchWorkloads({bench});
+        if (matches.empty())
+            usageError(kUsage,
+                       "unknown benchmark '" + bench + "' (try --list)");
+        if (matches.size() > 1) {
+            std::string names;
+            for (const Workload *m : matches)
+                names += " " + m->name;
+            usageError(kUsage, "ambiguous benchmark '" + bench +
+                                   "' matches" + names);
+        }
+        w = matches.front();
+    }
     // Pool-side hung-task watchdog: the safety net behind the
     // cooperative deadline poll. Warn at 10x the per-attempt deadline
     // (min 1 s) — cooperative reclaim should long since have fired.
@@ -616,18 +649,11 @@ main(int argc, char **argv)
             runAll(opts, cfgs, pass_stats, json_path, samples_path));
     }
 
-    const Workload *w = findWorkload(bench);
-    if (!w) {
-        for (const Workload &cand : allWorkloads())
-            if (cand.name.find(bench) != std::string::npos)
-                w = &cand;
-    }
-    if (!w)
-        usageError(kUsage, "unknown benchmark '" + bench + "' (try --list)");
-
     // A suite of one: the source-truth run validates the result (and
     // drives the supervisor's retry) exactly as in --all.
     const WorkloadRuns runs = runWorkload(*w, {cfg}, opts);
+    if (interrupted())
+        return finish(130);
     if (!runs.error.empty()) {
         printf("run failed: %s\n", runs.error.c_str());
         return finish(1);

@@ -1,11 +1,6 @@
 #include "driver/compiler.h"
 
-#include <chrono>
-
 #include "ir/verifier.h"
-#include "support/error.h"
-#include "support/faultinject.h"
-#include "support/logging.h"
 #include "support/telemetry/trace.h"
 #include "support/threadpool.h"
 
@@ -18,7 +13,6 @@ CompileOptions::forConfig(Config c)
     o.config = c;
     switch (c) {
       case Config::Gcc:
-        o.enable_inline = false;
         o.enable_pointer_analysis = false;
         o.mach = MachineConfig::gccStyle();
         o.layout_opts.use_profile = false; // GCC 3.2: no profile feedback
@@ -49,92 +43,33 @@ compileProgram(const Program &source, const CompileOptions &opts)
 
     // ---- High-level phase: inlining (profile-guided) ----
     // Inlining is the one interprocedural transform, so its transaction
-    // is the whole program: run on a clone, commit only if the result
-    // verifies. A rejected inline stage degrades to "no inlining" and
-    // the per-function pipeline proceeds on the original bodies.
-    if (opts.enable_inline && opts.config != Config::Gcc) {
+    // is the whole program: one gated step on a clone, committed only if
+    // every function verifies. A rejected inline stage degrades to "no
+    // inlining" and the per-function pipeline proceeds on the original
+    // bodies.
+    if (opts.config != Config::Gcc) {
         auto work = out.prog->clone();
-        std::string fail_err;
-        int fail_count = 0;
-        bool injected_here = false;
-        std::vector<int> live_faults;
-        bool ok = true;
         InlineStats inl;
-        PassStat &inline_stat = out.pipeline.at("inline", opts.config);
-        const auto inline_t0 = std::chrono::steady_clock::now();
-        const int inline_before = work->staticInstrCount();
-        try {
-            {
-                TraceSpan span("compile.pass", "inline");
+        GatedAttempt attempt([&] { return work->staticInstrCount(); },
+                             opts.firewall.inject, opts.config, {},
+                             out.pipeline, out.fallback);
+        const bool ok = attempt.run([&] {
+            PassStat &ps = attempt.pass("inline", [&] {
                 inl = inlineProgram(*work, opts.inline_opts);
-            }
-            inline_stat.runs++;
-            inline_stat.run_ms +=
-                std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - inline_t0)
-                    .count();
-            inline_stat.instr_delta +=
-                work->staticInstrCount() - inline_before;
-            if (FaultInjector *inj = opts.firewall.inject) {
-                for (auto &fp : work->funcs) {
-                    if (!fp)
-                        continue;
-                    int idx = inj->inject(*fp, "inline",
-                                          configName(opts.config));
-                    if (idx >= 0) {
-                        live_faults.push_back(idx);
-                        injected_here = true;
-                        out.fallback.faults_injected++;
-                    }
-                }
-            }
-            const auto v0 = std::chrono::steady_clock::now();
-            VerifyReport vr;
-            {
-                TraceSpan span("compile.verify", "inline");
-                vr = verifyAll(*work, "inline");
-            }
-            inline_stat.verify_ms +=
-                std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - v0)
-                    .count();
-            if (!vr.ok()) {
-                ok = false;
-                fail_err = vr.errors.front();
-                fail_count = static_cast<int>(vr.errors.size());
-            }
-        } catch (const InjectedFault &e) {
-            ok = false;
-            injected_here = true;
-            out.fallback.faults_injected++;
-            out.fallback.faults_caught++;
-            fail_err = e.what();
-            fail_count = 1;
-        } catch (const CompileError &e) {
-            ok = false;
-            fail_err = e.what();
-            fail_count = 1;
-        }
-
+            });
+            for (auto &fp : work->funcs)
+                if (fp)
+                    attempt.inject(*fp, "inline");
+            attempt.verify(ps, [&] {
+                return verifyAll(*work, "inline").errors;
+            });
+        });
         if (ok) {
             out.prog = std::move(work);
             out.stats.inl = inl;
         } else {
-            if (FaultInjector *inj = opts.firewall.inject) {
-                for (int idx : live_faults) {
-                    inj->markCaught(idx);
-                    out.fallback.faults_caught++;
-                }
-            }
-            FallbackEvent ev;
-            ev.function = "<whole program>";
-            ev.attempted = opts.config;
-            ev.failing_pass = "inline";
-            ev.error = fail_err;
-            ev.error_count = fail_count;
-            ev.fault_injected = injected_here;
-            ev.final_config = opts.config; // pipeline continues un-inlined
-            out.fallback.events.push_back(std::move(ev));
+            // The pipeline continues un-inlined at the requested config.
+            attempt.abandon("<whole program>", opts.config);
         }
     }
     Program &prog = *out.prog;

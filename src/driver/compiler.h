@@ -20,8 +20,10 @@
  * (driver/firewall.h): passes run on a clone behind per-pass verifier
  * gates, and a function whose compilation fails at some configuration
  * degrades down the IlpCs -> IlpNs -> ONS -> Gcc ladder by itself
- * instead of killing the experiment. Compiled::fallback records what
- * (if anything) degraded.
+ * instead of killing the experiment. Inlining (every config but Gcc)
+ * is one whole-program step of the same kind: a rejected inline stage
+ * leaves the program un-inlined. Compiled::fallback records what (if
+ * anything) degraded.
  */
 #ifndef EPIC_DRIVER_COMPILER_H
 #define EPIC_DRIVER_COMPILER_H
@@ -57,10 +59,8 @@ struct CompileOptions
     SpecOptions spec_opts;
     LayoutOptions layout_opts;
 
-    bool enable_inline = true;     ///< per-config default applied
     bool enable_pointer_analysis = true;
     bool enable_peel = true;
-    bool enable_unroll = true;
 
     /// Worker threads for the per-function firewalled pipeline.
     /// Functions are independent after inlining + alias analysis;

@@ -116,6 +116,100 @@ passTraceArgs(const std::string &fname, Config rung)
 
 } // namespace
 
+GatedAttempt::GatedAttempt(std::function<int()> size,
+                           FaultInjector *inject, Config rung,
+                           std::string trace_args, PipelineStats &pipe,
+                           FallbackReport &report)
+    : size_(std::move(size)), inject_(inject),
+      trace_args_(std::move(trace_args)), pipe_(pipe), report_(report)
+{
+    ev_.attempted = rung;
+}
+
+bool
+GatedAttempt::run(const std::function<void()> &steps)
+{
+    try {
+        steps();
+    } catch (const CompileError &e) {
+        if (dynamic_cast<const InjectedFault *>(&e)) {
+            // PassThrow: the fault recorded itself, pre-marked caught.
+            ev_.fault_injected = true;
+            report_.faults_injected++;
+            report_.faults_caught++;
+        }
+        failed_ = true;
+        ev_.failing_pass = e.pass();
+        ev_.error = e.what();
+    }
+    return !failed_;
+}
+
+PassStat &
+GatedAttempt::pass(const std::string &name,
+                   const std::function<void()> &body)
+{
+    const int before = size_();
+    const auto t0 = std::chrono::steady_clock::now();
+    {
+        TraceSpan span("compile.pass", name, trace_args_);
+        body();
+    }
+    PassStat &ps = pipe_.at(name, ev_.attempted);
+    ps.runs++;
+    ps.run_ms += msSince(t0);
+    ps.instr_delta += size_() - before;
+    return ps;
+}
+
+bool
+GatedAttempt::inject(Function &f, const std::string &pass,
+                     AnalysisManager *am)
+{
+    if (!inject_)
+        return false;
+    const int idx = inject_->inject(f, pass, configName(ev_.attempted), am);
+    if (idx < 0)
+        return false;
+    live_faults_.push_back(idx);
+    ev_.fault_injected = true;
+    report_.faults_injected++;
+    return true;
+}
+
+bool
+GatedAttempt::verify(PassStat &ps,
+                     const std::function<std::vector<std::string>()> &check)
+{
+    const auto v0 = std::chrono::steady_clock::now();
+    std::vector<std::string> errs;
+    {
+        TraceSpan span("compile.verify", ps.pass, trace_args_);
+        errs = check();
+    }
+    ps.verify_ms += msSince(v0);
+    if (errs.empty())
+        return true;
+    failed_ = true;
+    ev_.failing_pass = ps.pass;
+    ev_.error = errs.front();
+    ev_.error_count = static_cast<int>(errs.size());
+    return false;
+}
+
+const FallbackEvent &
+GatedAttempt::abandon(const std::string &function, Config landed)
+{
+    for (int idx : live_faults_) {
+        inject_->markCaught(idx);
+        report_.faults_caught++;
+    }
+    ev_.function = function;
+    ev_.final_config = landed;
+    report_.events.push_back(ev_);
+    return report_.events.back();
+}
+
 FunctionOutcome
 compileFunctionFirewalled(Program &prog, int fid,
                           const CompileOptions &opts,
@@ -138,69 +232,38 @@ compileFunctionFirewalled(Program &prog, int fid,
     // Per-function arena budget: supervision pages are 16K, matching
     // the simulator's heap accounting unit.
     const uint64_t arena_budget = opts.max_arena_pages * (uint64_t{16} << 10);
-    const bool recycle =
-        opts.firewall.snapshot == SnapshotStrategy::kWatermark;
-    // Arena activity of abandoned deep clones (their arenas die with
-    // them); the recycling strategy accumulates inside `work` instead.
-    ArenaCounters abandoned_arena;
 
     std::unique_ptr<Function> work;
     Config rung = start;
     bool clean_floor = false; ///< final Gcc attempt, injector disarmed
     while (true) {
-        FaultInjector *inj = clean_floor ? nullptr : opts.firewall.inject;
-        if (work && recycle) {
-            // Watermark strategy: discard the failed attempt with one
-            // O(1) arena rollback and re-copy the source into the
-            // retained chunks — a warm retry performs no chunk mallocs.
+        // One work clone per function, recycled across rung attempts:
+        // a failed attempt is discarded with one O(1) arena rollback,
+        // and re-copying the source into the retained chunks makes a
+        // warm retry malloc-free.
+        if (work)
             orig->cloneInto(*work);
-        } else {
-            if (work)
-                abandoned_arena += work->arena().counters();
+        else
             work = orig->clone(arena_budget);
-        }
         // Fresh manager per attempt: rollback and fallback-ladder
         // re-entry start cold by construction, never from stale caches.
         AnalysisManager am(*work, &aa, opts.analysis_mode);
         FunctionOutcome r;
-        std::vector<const PassDesc *> passes = buildPipeline(rung, opts);
-
-        std::string fail_pass, fail_err;
-        int fail_count = 0;
-        bool injected_here = false;
-        std::vector<int> live_faults; ///< fired, not yet gated
-        bool ok = true;
-        try {
-            for (const PassDesc *p : passes) {
-                const int before = work->staticInstrCount();
+        GatedAttempt attempt([&] { return work->staticInstrCount(); },
+                             clean_floor ? nullptr : opts.firewall.inject,
+                             rung, passTraceArgs(fname, rung), pipe, report);
+        const bool ok = attempt.run([&] {
+            for (const PassDesc *p : buildPipeline(rung, opts)) {
                 const AnalysisCounters actr0 = am.counters();
                 am.beginPass(p->name);
-                const auto t0 = std::chrono::steady_clock::now();
-                {
-                    TraceSpan span("compile.pass", p->name,
-                                   passTraceArgs(fname, rung));
+                PassStat &ps = attempt.pass(p->name, [&] {
                     p->run(*work, rung, opts, am, r.stats);
-                }
-                PassStat &ps = pipe.at(p->name, rung);
-                ps.runs++;
-                ps.run_ms += msSince(t0);
-                ps.instr_delta += work->staticInstrCount() - before;
-                bool fault_here = false;
-                if (inj) {
-                    int idx = inj->inject(*work, p->name,
-                                          configName(rung), &am);
-                    if (idx >= 0) {
-                        live_faults.push_back(idx);
-                        injected_here = true;
-                        fault_here = true;
-                        report.faults_injected++;
-                    }
-                }
+                });
                 // Pass boundary: trust the declared preserves set —
                 // unless a fault just mutated the IR behind the pass's
                 // back, in which case nothing cached can be trusted
                 // (and the stale checker must not blame the pass).
-                if (fault_here)
+                if (attempt.inject(*work, p->name, &am))
                     am.invalidateAll();
                 else
                     am.invalidateAllExcept(p->preserves);
@@ -212,42 +275,15 @@ compileFunctionFirewalled(Program &prog, int fid,
                        << budget << " budget";
                     throw CompileError(p->name, os.str());
                 }
-                if (p->verify_gate) {
-                    const auto v0 = std::chrono::steady_clock::now();
-                    std::vector<std::string> errs;
-                    {
-                        TraceSpan span("compile.verify", p->name,
-                                       passTraceArgs(fname, rung));
-                        errs = verifyFunction(*work);
-                    }
-                    ps.verify_ms += msSince(v0);
-                    if (!errs.empty()) {
-                        ok = false;
-                        fail_pass = p->name;
-                        fail_err = errs.front();
-                        fail_count = static_cast<int>(errs.size());
-                        break;
-                    }
-                }
+                if (p->verify_gate && !attempt.verify(ps, [&] {
+                        return verifyFunction(*work);
+                    }))
+                    return;
             }
-        } catch (const InjectedFault &e) {
-            ok = false;
-            injected_here = true;
-            report.faults_injected++;
-            report.faults_caught++;
-            fail_pass = e.pass();
-            fail_err = e.what();
-            fail_count = 1;
-        } catch (const CompileError &e) {
-            ok = false;
-            fail_pass = e.pass();
-            fail_err = e.what();
-            fail_count = 1;
-        }
+        });
 
         if (ok) {
             // Commit: the verified clone replaces the source function.
-            r.stats.arena += abandoned_arena;
             r.stats.arena += work->arena().counters();
             r.stats.arena += am.arenaCounters();
             prog.funcs[fid] = std::move(work);
@@ -260,25 +296,8 @@ compileFunctionFirewalled(Program &prog, int fid,
             return r;
         }
 
-        // Roll back. Faults that fired on this attempt die with the
-        // abandoned clone: absorbed.
-        if (inj) {
-            for (int idx : live_faults) {
-                inj->markCaught(idx);
-                report.faults_caught++;
-            }
-        }
-
-        FallbackEvent ev;
-        ev.function = fname;
-        ev.attempted = rung;
-        ev.failing_pass = fail_pass;
-        ev.error = fail_err;
-        ev.error_count = fail_count;
-        ev.fault_injected = injected_here;
-        ev.final_config = Config::Gcc; // backfilled on commit
-        report.events.push_back(std::move(ev));
-
+        // Roll back; the landing rung is backfilled on commit.
+        const FallbackEvent &ev = attempt.abandon(fname, Config::Gcc);
         Config lower;
         if (degradeConfig(rung, &lower)) {
             rung = lower;
@@ -290,8 +309,8 @@ compileFunctionFirewalled(Program &prog, int fid,
             report.clean_retries++;
         } else {
             epic_panic("compilation firewall exhausted for ", fname,
-                       ": Gcc floor failed at ", fail_pass, ": ",
-                       fail_err);
+                       ": Gcc floor failed at ", ev.failing_pass, ": ",
+                       ev.error);
         }
     }
 }

@@ -16,14 +16,19 @@
  *     IlpCs -> IlpNs -> ONS -> Gcc
  *
  * and each abandoned rung is recorded as a FallbackEvent. The
- * experiment harness aggregates the resulting FallbackReport and the
- * bench binaries print it, so a degraded run is visible — but still a
- * run, with architected semantics intact.
+ * whole-program inline stage (driver/compiler.cc) is one more attempt
+ * of the same kind, with GatedAttempt's bookkeeping. The experiment
+ * harness aggregates the resulting FallbackReport and the bench
+ * binaries print it, so a degraded run is visible — but still a run,
+ * with architected semantics intact.
+ *
+ * Each function keeps one work clone, recycled across its rung
+ * attempts: abandoning an attempt is an O(1) arena watermark rollback.
  */
 #ifndef EPIC_DRIVER_FIREWALL_H
 #define EPIC_DRIVER_FIREWALL_H
 
-#include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -67,29 +72,9 @@ struct FallbackReport
     std::string str() const;
 };
 
-/**
- * How the firewall snapshots per-attempt transactional state
- * (DESIGN.md §16).
- *
- *  - kWatermark (default): one work clone per function, *recycled*
- *    across rung attempts — abandoning a failed attempt is one O(1)
- *    arena watermark rollback, and the retained chunks make the retry's
- *    re-clone malloc-free. The committed IR is bit-identical to
- *    kDeepClone's (the equivalence suite asserts it under fault
- *    injection).
- *  - kDeepClone: a fresh clone (fresh arena) per attempt — the legacy
- *    strategy, kept as the A/B reference and debugging aid.
- */
-enum class SnapshotStrategy : uint8_t {
-    kDeepClone,
-    kWatermark,
-};
-
 /** Firewall knobs, part of CompileOptions. */
 struct FirewallOptions
 {
-    /// Per-attempt snapshot strategy (see SnapshotStrategy).
-    SnapshotStrategy snapshot = SnapshotStrategy::kWatermark;
     /// Optional fault-injection engine (not owned). Corrupts the IR at
     /// pass boundaries; the firewall marks which faults its gates
     /// caught.
@@ -98,6 +83,57 @@ struct FirewallOptions
     /// Redundant (every function already passed a per-pass gate) and
     /// off by default; a debug flag for chasing firewall bugs.
     bool paranoid = false;
+};
+
+/**
+ * One transactional compile attempt's bookkeeping, shared by every rung
+ * of the per-function pipeline and by the whole-program inline stage.
+ * It times and traces each pass and verifier gate into the attempt's
+ * PassStat, counts the faults fired at each pass boundary, and turns a
+ * gate rejection, a CompileError or an InjectedFault into the attempt's
+ * FallbackEvent. The caller owns the work clone and commits or abandons
+ * it.
+ */
+class GatedAttempt
+{
+  public:
+    /** `size` counts the static instructions of the IR under work. */
+    GatedAttempt(std::function<int()> size, FaultInjector *inject,
+                 Config rung, std::string trace_args, PipelineStats &pipe,
+                 FallbackReport &report);
+
+    /** Run the attempt's steps; false when one of them failed. */
+    bool run(const std::function<void()> &steps);
+
+    /** Run one pass, traced and timed into its (pass, rung) PassStat. */
+    PassStat &pass(const std::string &name,
+                   const std::function<void()> &body);
+
+    /** The fault-injection site after `pass` on `f`; true if it fired. */
+    bool inject(Function &f, const std::string &pass,
+                AnalysisManager *am = nullptr);
+
+    /** The verifier gate after ps's pass; false (failed) on any error. */
+    bool verify(PassStat &ps,
+                const std::function<std::vector<std::string>()> &check);
+
+    /**
+     * Abandon the failed attempt: its live faults die with the work
+     * clone (caught), and its event, landing on `landed`, is appended
+     * to the report.
+     */
+    const FallbackEvent &abandon(const std::string &function,
+                                 Config landed);
+
+  private:
+    std::function<int()> size_;
+    FaultInjector *inject_;
+    std::string trace_args_;
+    PipelineStats &pipe_;
+    FallbackReport &report_;
+    std::vector<int> live_faults_; ///< fired, not yet gated
+    FallbackEvent ev_;             ///< failure so far
+    bool failed_ = false;
 };
 
 /** Per-function compilation outcome. */

@@ -183,9 +183,7 @@ makeRegistry()
                    },
                    [](Function &f, Config, const CompileOptions &opts,
                       AnalysisManager &, CompileStats &s) {
-                       PeelOptions peel = opts.peel_opts;
-                       peel.enable_unroll = opts.enable_unroll;
-                       s.peel += peelLoops(f, peel);
+                       s.peel += peelLoops(f, opts.peel_opts);
                    },
                    // Peel mutates behind the manager's back (it takes
                    // no manager), so nothing survives it.

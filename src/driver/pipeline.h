@@ -12,6 +12,10 @@
  * pass is a one-place change that firewall, injector and benchmarks all
  * observe.
  *
+ * The firewall's GatedAttempt (driver/firewall.h) runs each pass of a
+ * rung, and the program-level "inline" stage, through the same timed,
+ * traced and verifier-gated step, so both feed one PipelineStats.
+ *
  * Two shared statistics blocks live here as well:
  *
  *  - CompileStats: the per-transform counters (inline, classical,
@@ -67,9 +71,9 @@ struct CompileStats
     SchedStats sched;
     int instrs_after_classical = 0;
     int instrs_after_regions = 0;
-    /// Arena activity of the committed compilation (function arena of
-    /// the landed attempt, all rung attempts included when the firewall
-    /// recycles the work clone, plus the analysis-manager arena).
+    /// Arena activity of the committed compilation (the function's one
+    /// recycled work arena, every rung attempt included, plus the
+    /// analysis-manager arena).
     /// Per-arena and merged in function-id order, hence --jobs
     /// invariant like every other counter here.
     ArenaCounters arena;

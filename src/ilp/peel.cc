@@ -119,7 +119,7 @@ peelLoops(Function &f, const PeelOptions &opts)
             continue;
         }
 
-        if (opts.enable_unroll && avg_trip >= opts.unroll_min_trip &&
+        if (avg_trip >= opts.unroll_min_trip &&
             body <= opts.unroll_max_body_instrs &&
             !loop->instrs.empty()) {
             // ---- Unroll by the configured factor ----
@@ -165,16 +165,6 @@ peelLoops(Function &f, const PeelOptions &opts)
         }
     }
     return stats;
-}
-
-PeelStats
-peelLoopsProgram(Program &prog, const PeelOptions &opts)
-{
-    PeelStats total;
-    for (auto &fp : prog.funcs)
-        if (fp && !(fp->attr & kFuncLibrary))
-            total += peelLoops(*fp, opts);
-    return total;
 }
 
 } // namespace epic

@@ -35,7 +35,6 @@ struct PeelOptions
     double unroll_min_trip = 7.0;
     int unroll_factor = 2;
     int unroll_max_body_instrs = 48;
-    bool enable_unroll = true;
 };
 
 /** Statistics. */
@@ -59,9 +58,6 @@ struct PeelStats
 
 /** Peel and unroll eligible single-block loops in one function. */
 PeelStats peelLoops(Function &f, const PeelOptions &opts = {});
-
-/** Whole program (skips library functions). */
-PeelStats peelLoopsProgram(Program &prog, const PeelOptions &opts = {});
 
 } // namespace epic
 

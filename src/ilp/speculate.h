@@ -28,8 +28,6 @@ class AnalysisManager;
 /** Speculation knobs. */
 struct SpecOptions
 {
-    bool enable_motion = true;
-    bool enable_promotion = true;
     /// Maximum side-exit branches an instruction may hoist across.
     int max_cross_branches = 3;
     /// Data speculation (ilp/specmodel.h): maximum loads advanced to
@@ -68,9 +66,6 @@ SpecStats speculateFunction(Function &f, const SpecOptions &opts = {});
  */
 SpecStats speculateFunction(Function &f, AnalysisManager &am,
                             const SpecOptions &opts = {});
-
-/** Apply to every non-library function. */
-SpecStats speculateProgram(Program &prog, const SpecOptions &opts = {});
 
 } // namespace epic
 

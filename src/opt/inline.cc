@@ -272,10 +272,8 @@ inlineProgram(Program &prog, const InlineOptions &opts)
     InlineStats stats;
     stats.before_instrs = prog.staticInstrCount();
 
-    if (opts.promote_indirect) {
-        stats.promoted = promoteIndirectCalls(
-            prog, opts.promote_threshold, opts.min_weight);
-    }
+    stats.promoted = promoteIndirectCalls(prog, opts.promote_threshold,
+                                          opts.min_weight);
 
     const double budget =
         static_cast<double>(stats.before_instrs) * opts.growth_budget;

@@ -28,8 +28,6 @@ struct InlineOptions
     int max_callee_size = 500;
     /// Promote indirect calls whose top callee has at least this share.
     double promote_threshold = 0.70;
-    /// Enable indirect-call promotion.
-    bool promote_indirect = true;
 };
 
 /** Results for diagnostics/tests. */

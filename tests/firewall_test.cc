@@ -21,6 +21,7 @@
 #include "sim/interp.h"
 #include "sim/timing.h"
 #include "support/faultinject.h"
+#include "support/supervision/manifest.h"
 #include "workloads/workload.h"
 
 namespace epic {
@@ -220,47 +221,73 @@ TEST(FirewallTest, VerifyAllCollectsEveryError)
 }
 
 /**
- * The watermark snapshot strategy (arena rollback + work-clone
- * recycling) must commit bit-identical IR and an identical fallback
- * history to the legacy deep-clone strategy — under fault injection,
- * where the recycling path actually exercises multi-attempt rollback.
+ * Golden commits: the program text and fallback history the firewall
+ * commits, pinned from a known-good build. Seed 0 compiles clean; seed
+ * 42 at rate 1.0 faults every site, so recycled work clones roll back
+ * through every rung; the inline-only runs pin the whole-program inline
+ * transaction — a verifier rejection on 164.gzip and an injected pass
+ * exception on 197.parser, whose inlining changes the committed program.
  */
-TEST(FirewallTest, WatermarkAndDeepCloneSnapshotsAreEquivalent)
+TEST(FirewallTest, CommittedProgramAndEventsMatchGolden)
 {
-    const Workload *w = findWorkload("164.gzip");
-    ASSERT_NE(w, nullptr);
-    auto src = profiledSource(*w);
-
-    auto compile_with = [&](SnapshotStrategy snap, FaultInjector *inj) {
-        CompileOptions o = CompileOptions::forConfig(Config::IlpCs);
-        o.firewall.snapshot = snap;
-        o.firewall.inject = inj;
-        return compileProgram(*src, o);
+    struct Golden
+    {
+        const char *workload;
+        uint64_t seed;
+        bool inline_only; ///< faults restricted to the inline stage
+        uint64_t program_fnv;
+        std::vector<std::string> events;
+    };
+    const std::string gzip_inline =
+        "<whole program>: ILP-CS rejected at inline: main bb1: guard "
+        "register class mismatch in '(gr1) ld32 gr133 = gr132' -> landed "
+        "ILP-CS [fault injected]";
+    const Golden goldens[] = {
+        {"164.gzip", 0, false, 0xb574750059ae0f3aull, {}},
+        {"164.gzip", 42, false, 0x33c4f5920cb23c91ull,
+         {gzip_inline,
+          "main: ILP-CS rejected at classical: main bb1: side-effecting "
+          "instruction marked speculative: '(pr128) br.s  -> bb2' -> "
+          "landed GCC [fault injected]",
+          "main: ILP-NS rejected at classical: main bb4: branch to "
+          "dead/invalid block in '(pr133) br  -> bb22' -> landed GCC "
+          "[fault injected]",
+          "main: O-NS rejected at classical: main bb6: branch to "
+          "dead/invalid block in '(pr136) br  -> bb22' -> landed GCC "
+          "[fault injected]",
+          "main: GCC rejected at classical: main bb2: side-effecting "
+          "instruction marked speculative: '(pr130) br.s  -> bb3' -> "
+          "landed GCC [fault injected]"}},
+        {"164.gzip", 42, true, 0xb574750059ae0f3aull, {gzip_inline}},
+        {"197.parser", 0, false, 0x8a5a34198977d8d5ull, {}},
+        {"197.parser", 42, true, 0x3042ae1635569965ull,
+         {"<whole program>: ILP-CS rejected at inline: injected fault: "
+          "pass exception in dict_lookup -> landed ILP-CS [fault "
+          "injected]"}},
     };
 
-    for (uint64_t seed : {uint64_t{0}, uint64_t{42}}) {
-        // seed 0: clean compile; seed 42: faults force rollbacks.
-        FaultInjector ia(seed, seed ? 1.0 : 0.0);
-        FaultInjector ib(seed, seed ? 1.0 : 0.0);
-        Compiled deep =
-            compile_with(SnapshotStrategy::kDeepClone, &ia);
-        Compiled mark =
-            compile_with(SnapshotStrategy::kWatermark, &ib);
+    for (const Golden &g : goldens) {
+        SCOPED_TRACE(std::string(g.workload) + " seed " +
+                     std::to_string(g.seed) +
+                     (g.inline_only ? " inline-only" : ""));
+        const Workload *w = findWorkload(g.workload);
+        ASSERT_NE(w, nullptr);
+        auto src = profiledSource(*w);
+        FaultInjector inj(g.seed, g.seed ? 1.0 : 0.0);
+        if (g.inline_only)
+            inj.restrictTo("", "inline");
+        CompileOptions o = CompileOptions::forConfig(Config::IlpCs);
+        o.firewall.inject = &inj;
+        Compiled c = compileProgram(*src, o);
 
-        std::ostringstream pa, pb;
-        printProgram(pa, *deep.prog);
-        printProgram(pb, *mark.prog);
-        EXPECT_EQ(pa.str(), pb.str()) << "seed " << seed;
-
-        ASSERT_EQ(deep.fallback.events.size(),
-                  mark.fallback.events.size())
-            << "seed " << seed;
-        for (size_t i = 0; i < deep.fallback.events.size(); ++i)
-            EXPECT_EQ(deep.fallback.events[i].str(),
-                      mark.fallback.events[i].str());
-        if (seed) {
-            EXPECT_FALSE(mark.fallback.clean());
-        }
+        std::ostringstream text;
+        printProgram(text, *c.prog);
+        EXPECT_EQ(fnv1a(text.str()), g.program_fnv);
+        std::vector<std::string> events;
+        for (const FallbackEvent &e : c.fallback.events)
+            events.push_back(e.str());
+        EXPECT_EQ(events, g.events);
+        EXPECT_EQ(inj.escaped(), 0);
     }
 }
 
