@@ -13,7 +13,7 @@
  *               [--inject <seed>] [--inject-rate <p>] [--inject-sim]
  *               [--deadline-ms N] [--max-instrs N] [--max-cycles N]
  *               [--max-depth N] [--max-mem-pages N] [--retries N]
- *               [--no-ladder] [--checkpoint-every N] [--resume]
+ *               [--no-ladder] [--resume]
  *               [--only <substr[,substr...]>]
  *               [--sample-every N] [--samples <path>]
  *               [--ear-latency-min N] [--btb-depth N] [--profile]
@@ -40,7 +40,7 @@
  * The --all report is byte-identical for every --jobs value (parallel
  * results merge in workload/config order), so `--all --jobs 1` vs
  * `--all --jobs 4` diffing clean is the determinism check CI runs. The
- * same holds for the --json artifact: epiclab.run.v2 records are
+ * same holds for the --json artifact: epiclab.run.v3 records are
  * serialized post-join in suite × config index order and carry no wall
  * times. A record's keys follow from the options alone (every counter
  * is written, zero or not; DESIGN.md §11). The --trace
@@ -65,7 +65,10 @@
  * a signal, it too exits 130 without writing --json.
  *
  * Exit status: 2 on a bad command line — an unknown option or name, a
- * missing or malformed value, incompatible flags — before anything
+ * missing or malformed value, incompatible flags, a flag that would
+ * change nothing in this run (--only or --with-ds on a single run,
+ * --config with --all, --inject-rate/--inject-analysis without
+ * --inject, PMU flags with nowhere to write) — before anything
  * runs (a typo must kill the run at the parser, not silently select a
  * benchmark or a zero job count); 1 when a run failed, missed its
  * source checksum or broke a declared invariant; 130 when stopped by a
@@ -126,7 +129,7 @@ usage()
            "record per\n"
            "                                      workload x config "
            "(schema\n"
-           "                                      epiclab.run.v2, "
+           "                                      epiclab.run.v3, "
            "deterministic)\n"
            "  --trace <path>                      write a Chrome "
            "trace-event\n"
@@ -159,8 +162,6 @@ usage()
            "(default 2)\n"
            "  --no-ladder                         no functional-only/"
            "skip fallback\n"
-           "  --checkpoint-every <N>              sim checkpoint "
-           "interval (ops)\n"
            "  --inject-sim                        sim-layer chaos "
            "(with --inject)\n"
            "  --resume                            skip tasks recorded "
@@ -373,12 +374,14 @@ main(int argc, char **argv)
         usageError(kUsage, "unknown option '" + mode + "'");
 
     std::string bench = mode;
+    const bool all = bench == "--all";
     Config cfg = Config::IlpCs;
+    bool cfg_set = false;
     RunOptions opts;
     bool with_ds = false;
     bool no_peel = false, no_ptr = false, cons_hb = false;
     bool inject = false, inject_analysis = false, pass_stats = false;
-    bool inject_sim = false;
+    bool inject_sim = false, inject_rate_set = false;
     uint64_t inject_seed = 0;
     double inject_rate = 1.0;
     AnalysisMode analysis_mode = envAnalysisMode();
@@ -412,6 +415,7 @@ main(int argc, char **argv)
                     cfg = k;
                     known = true;
                 }
+            cfg_set = true;
             if (!known)
                 usageError(kUsage,
                            "--config: unknown configuration '" + c + "'");
@@ -447,6 +451,7 @@ main(int argc, char **argv)
         } else if (a == "--inject-rate") {
             inject_rate =
                 parseFloatFlag("--inject-rate", value_of(i, a), 0.0, 1.0);
+            inject_rate_set = true;
         } else if (a == "--inject-analysis") {
             inject_analysis = true;
         } else if (a == "--inject-sim") {
@@ -483,11 +488,6 @@ main(int argc, char **argv)
             opts.supervise = true;
         } else if (a == "--no-ladder") {
             opts.supervision.ladder = false;
-            opts.supervise = true;
-        } else if (a == "--checkpoint-every") {
-            opts.supervision.checkpoint_every = static_cast<uint64_t>(
-                parseIntFlag("--checkpoint-every", value_of(i, a), 1,
-                             INT64_MAX));
             opts.supervise = true;
         } else if (a == "--resume") {
             opts.resume = true;
@@ -537,13 +537,46 @@ main(int argc, char **argv)
             usageError(kUsage, "unknown option '" + a + "'");
         }
     }
+    // A flag that would change nothing in this run is a usage error,
+    // never a silent no-op. The injector is wired in only with --inject.
+    const std::pair<bool, const char *> need_inject[] = {
+        {inject_rate_set, "--inject-rate"},
+        {inject_analysis, "--inject-analysis"},
+        {inject_sim, "--inject-sim"}};
+    for (const auto &[set, flag] : need_inject)
+        if (set && !inject)
+            usageError(kUsage, std::string(flag) +
+                                   " needs --inject <seed> (no fault "
+                                   "plan without a seed)");
+    if (all && cfg_set)
+        usageError(kUsage, "--config picks a single run's configuration; "
+                           "--all runs the standard four (add "
+                           "ILP-CS-DS with --with-ds)");
+    if (!all && !opts.only.empty())
+        usageError(kUsage, "--only restricts --all; a single run names "
+                           "its benchmark");
+    if (!all && with_ds)
+        usageError(kUsage, "--with-ds adds ILP-CS-DS to --all; a single "
+                           "run uses --config ILP-CS-DS");
+    // PMU state reaches the user only through --json, --samples,
+    // --profile, and (for the interval sampler) --trace counter events.
+    const bool pmu_sink =
+        !json_path.empty() || !samples_path.empty() || opts.pmu.regions;
+    const std::pair<bool, const char *> pmu_flags[] = {
+        {opts.pmu.sample_every != 0 && trace_path.empty(),
+         "--sample-every"},
+        {opts.pmu.ear_latency_min != 0, "--ear-latency-min"},
+        {opts.pmu.btb_depth != 0, "--btb-depth"}};
+    for (const auto &[set, flag] : pmu_flags)
+        if (set && !pmu_sink)
+            usageError(kUsage, std::string(flag) +
+                                   " needs an output: --json, --samples "
+                                   "or --profile (--sample-every also "
+                                   "--trace)");
     FaultInjector injector(inject_seed, inject_rate);
     if (inject_analysis)
         injector.enableAnalysisFaults(true);
     if (inject_sim) {
-        if (!inject)
-            usageError(kUsage, "--inject-sim needs --inject <seed> for "
-                               "the deterministic fault plan");
         injector.enableSimFaults(true);
         opts.sim_inject = &injector;
     }
@@ -559,7 +592,7 @@ main(int argc, char **argv)
         o.firewall.inject = inj;
     };
 
-    if (opts.resume && bench != "--all")
+    if (opts.resume && !all)
         usageError(kUsage, "--resume needs --all (a single run keeps no "
                            "manifest to resume from)");
     if (opts.resume && json_path.empty())
@@ -581,7 +614,7 @@ main(int argc, char **argv)
     if (!samples_path.empty() && opts.pmu.sample_every == 0)
         usageError(kUsage, "--samples needs --sample-every <N> (nothing "
                            "would be sampled)");
-    if (opts.pmu.regions && bench == "--all")
+    if (opts.pmu.regions && all)
         usageError(kUsage, "--profile reports one run; use it without "
                            "--all (pick a benchmark and --config)");
     if (opts.pmu.enabled() && opts.resume)
@@ -601,10 +634,10 @@ main(int argc, char **argv)
         usageError(kUsage, "--ff-functional/--detail-window only apply "
                            "to --sim-mode=sampled");
     }
-    if (bench == "--all" && matchWorkloads(opts.only).empty())
+    if (all && matchWorkloads(opts.only).empty())
         usageError(kUsage, "--only matched no workloads (see --list)");
-    const Workload *w = bench == "--all" ? nullptr : findWorkload(bench);
-    if (bench != "--all" && !w) {
+    const Workload *w = all ? nullptr : findWorkload(bench);
+    if (!all && !w) {
         const std::vector<const Workload *> matches = matchWorkloads({bench});
         if (matches.empty())
             usageError(kUsage,
@@ -662,14 +695,8 @@ main(int argc, char **argv)
     if (!r.fallback.clean())
         printf("%s\n", r.fallback.str().c_str());
     if (opts.supervise && r.sim_attempts > 0)
-        printf("supervision: %s after %d attempt(s), status %s%s\n",
-               r.sim_rung, r.sim_attempts, runStatusName(r.sim_status),
-               r.ckpt_instrs
-                   ? (" (checkpoint @ op " +
-                      std::to_string(r.ckpt_instrs) + ", " +
-                      std::to_string(r.ckpt_bytes) + " bytes)")
-                         .c_str()
-                   : "");
+        printf("supervision: %s after %d attempt(s), status %s\n",
+               r.sim_rung, r.sim_attempts, runStatusName(r.sim_status));
     if (inj && injector.fired()) {
         printf("fault injection: %d fired, %d escaped a gate\n",
                injector.fired(), injector.escaped());

@@ -4,7 +4,7 @@
 Usage: sampled_compare.py DETAILED.jsonl SAMPLED.jsonl
            [--max-err 0.05] [--min-share 0.01]
 
-Both inputs are epiclab.run.v2 JSONL artifacts over the same workload x
+Both inputs are epiclab.run.v3 JSONL artifacts over the same workload x
 config set — DETAILED from a --sim-mode=detailed (default) run, SAMPLED
 from --sim-mode=sampled. For every (workload, config) pair present in
 both, the sampled record's sim.sampled.est.<cat> extrapolation is
@@ -34,7 +34,7 @@ class CompareError(Exception):
 
 
 def load(path):
-    """Read a run.v2 JSONL artifact into {(workload, config): stats}."""
+    """Read a run.v3 JSONL artifact into {(workload, config): stats}."""
     recs = {}
     try:
         with open(path) as f:
@@ -48,7 +48,7 @@ def load(path):
             r = json.loads(ln)
         except json.JSONDecodeError as e:
             raise CompareError(f"{path}: bad JSONL line: {e}")
-        if r.get("schema") != "epiclab.run.v2":
+        if r.get("schema") != "epiclab.run.v3":
             raise CompareError(
                 f"{path}: unexpected schema {r.get('schema')!r}")
         if not r.get("ok"):

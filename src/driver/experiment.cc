@@ -8,7 +8,6 @@
 #include <mutex>
 #include <tuple>
 
-#include "sim/checkpoint.h"
 #include "support/faultinject.h"
 #include "support/logging.h"
 #include "support/supervision/manifest.h"
@@ -151,7 +150,6 @@ runSim(const Workload &w, Config cfg, const RunOptions &opts,
     if (sup.max_depth)
         base.max_depth = sup.max_depth;
     base.max_mem_pages = sup.max_mem_pages;
-    base.checkpoint_every = sup.checkpoint_every;
     base.pmu = opts.pmu;
     base.sim_mode = opts.sim_mode;
     base.ff_functional = opts.ff_functional;
@@ -170,14 +168,11 @@ runSim(const Workload &w, Config cfg, const RunOptions &opts,
 
     const int max_attempts = std::max(1, sup.max_attempts);
     TimingResult r;
-    SimCheckpoint ckpt;
     for (int attempt = 0; attempt < max_attempts; ++attempt) {
         Memory mem;
         buildImage(w, prog, mem, opts.run_input);
         TimingOptions topts = base;
         topts.deadline_ns = deadlineFromNowMs(sup.deadline_ms);
-        if (sup.checkpoint_every)
-            topts.checkpoint_out = &ckpt;
         if (attempt == 0 && plan.fire) {
             switch (plan.kind) {
               case FaultKind::SimDecodeCorrupt:
@@ -208,11 +203,6 @@ runSim(const Workload &w, Config cfg, const RunOptions &opts,
         if (r.status == RunStatus::BudgetExceeded)
             break; // deterministic exhaustion: a retry cannot help
     }
-    if (ckpt.valid()) {
-        out.ckpt_instrs = ckpt.instrs;
-        out.ckpt_bytes = ckpt.data.size();
-    }
-
     if (r.ok) {
         out.ok = true;
         out.checksum = r.ret_value;

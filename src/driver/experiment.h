@@ -129,9 +129,6 @@ struct ConfigRun
     const char *sim_rung = "detailed";
     /// Detailed-sim attempts consumed (>= 1 once a sim ran).
     int sim_attempts = 0;
-    /// Checkpoints taken / last blob size (supervision.checkpoint_*).
-    uint64_t ckpt_instrs = 0;
-    uint64_t ckpt_bytes = 0;
     /// Restored from the fleet manifest instead of re-run; record_json
     /// then holds the stored JSONL record verbatim.
     bool resumed = false;

@@ -16,8 +16,8 @@
  *
  * Set-associative on the destination register id (alat_assoc <= 0
  * selects fully-associative), round-robin victim per set: replacement
- * is deterministic and the whole table checkpoint-serializes, keeping
- * restore-then-run byte-identical to an uninterrupted run.
+ * is deterministic, so ALAT hits and recoveries are a pure function of
+ * the executed op stream.
  */
 #ifndef EPIC_SIM_ALAT_H
 #define EPIC_SIM_ALAT_H
@@ -26,8 +26,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "sim/checkpoint.h"
-#include "support/logging.h"
 
 namespace epic {
 
@@ -111,38 +109,6 @@ class Alat
                 return;
             }
         }
-    }
-
-    void
-    saveState(CkptWriter &w) const
-    {
-        w.u64(slots_.size());
-        for (const Entry &e : slots_) {
-            w.u8(e.valid ? 1 : 0);
-            w.i64(e.reg);
-            w.u64(e.addr);
-            w.u8(e.size);
-        }
-        w.u64(rr_.size());
-        for (const uint32_t r : rr_)
-            w.u32(r);
-    }
-
-    void
-    loadState(CkptReader &r)
-    {
-        epic_assert(r.u64() == slots_.size(),
-                    "checkpoint ALAT geometry mismatch");
-        for (Entry &e : slots_) {
-            e.valid = r.u8() != 0;
-            e.reg = static_cast<int32_t>(r.i64());
-            e.addr = r.u64();
-            e.size = r.u8();
-        }
-        epic_assert(r.u64() == rr_.size(),
-                    "checkpoint ALAT geometry mismatch");
-        for (uint32_t &rc : rr_)
-            rc = r.u32();
     }
 
   private:

@@ -14,9 +14,6 @@
 
 namespace epic {
 
-class CkptReader;
-class CkptWriter;
-
 /** One set-associative LRU cache level. */
 class Cache
 {
@@ -55,11 +52,6 @@ class Cache
     uint64_t misses() const { return misses_; }
     int latency() const { return cfg_.latency; }
     const CacheConfig &config() const { return cfg_; }
-
-    /** Checkpoint tags/LRU/counters; restore requires an identically
-     *  configured cache (geometry is asserted, not serialized). */
-    void saveState(CkptWriter &w) const;
-    void loadState(CkptReader &r);
 
   private:
     struct Way
@@ -184,9 +176,6 @@ class MemHierarchy
     Cache &l1d() { return l1d_; }
     Cache &l2() { return l2_; }
     Cache &l3() { return l3_; }
-
-    void saveState(CkptWriter &w) const;
-    void loadState(CkptReader &r);
 
   private:
     MachineConfig mach_;

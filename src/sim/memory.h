@@ -28,8 +28,6 @@
 
 namespace epic {
 
-class CkptReader;
-class CkptWriter;
 class Program;
 
 /** Sparse byte-addressable memory with 16 KB pages. */
@@ -122,11 +120,6 @@ class Memory
      * one mapped page.
      */
     uint64_t flipBit(uint64_t sel);
-
-    /** Checkpoint the full page set (sorted page order: deterministic
-     *  blob) / restore it, replacing current contents. */
-    void saveState(CkptWriter &w) const;
-    void loadState(CkptReader &r);
 
   private:
     uint8_t *pageFor(uint64_t addr, bool create);

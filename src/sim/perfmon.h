@@ -156,6 +156,9 @@ struct Perfmon
                                branch_predictions
                    : 0.0;
     }
+
+    /** Every counter, func_cycles included. */
+    bool operator==(const Perfmon &) const = default;
 };
 
 } // namespace epic

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "sim/checkpoint.h"
 #include "support/logging.h"
 
 namespace epic {
@@ -267,168 +266,6 @@ PmuData::RegionCycles *
 PmuData::regionSlot(int fid, int bid)
 {
     return &regions_[key(fid, bid)];
-}
-
-void
-PmuData::saveState(CkptWriter &w) const
-{
-    w.u64(stride_);
-    w.u64(next_sample_at_);
-    w.u64(compactions_);
-    w.u8(finished_ ? 1 : 0);
-    w.u64(prev_cycles_end_);
-    for (const uint64_t v : prev_cycles_)
-        w.u64(v);
-    for (const uint64_t v : prev_counters_)
-        w.u64(v);
-    w.u64(samples_.size());
-    for (const PmuSample &s : samples_) {
-        w.u64(s.cycles_end);
-        w.u64(s.intervals);
-        for (const uint64_t v : s.cycles)
-            w.u64(v);
-        for (const uint64_t v : s.counters)
-            w.u64(v);
-    }
-    auto put_sites = [&w](const std::map<uint64_t, EarSite> &m) {
-        w.u64(m.size());
-        for (const auto &[k, site] : m) {
-            w.u64(k);
-            w.u64(site.events);
-            w.u64(site.total_latency);
-            w.u32(site.attr_union);
-            w.u64(site.last_addr);
-        }
-    };
-    auto put_ring = [&w](const std::vector<EarRecord> &r, uint64_t n) {
-        w.u64(n);
-        w.u64(r.size());
-        for (const EarRecord &e : r) {
-            w.u64(e.addr);
-            w.i64(e.fid);
-            w.i64(e.bid);
-            w.i64(e.latency);
-            w.u32(e.attrs);
-        }
-    };
-    put_sites(dear_sites_);
-    put_ring(dear_ring_, dear_events_);
-    put_sites(iear_sites_);
-    put_ring(iear_ring_, iear_events_);
-    w.u64(btb_count_);
-    w.u64(btb_ring_.size());
-    for (const BtbRecord &b : btb_ring_) {
-        w.u64(b.paddr);
-        w.i64(b.fid);
-        w.i64(b.bid);
-        w.u8(b.taken);
-        w.u8(b.mispred);
-    }
-    w.u64(branch_profile_.size());
-    for (const auto &[paddr, site] : branch_profile_) {
-        w.u64(paddr);
-        w.i64(site.fid);
-        w.i64(site.bid);
-        w.u64(site.predictions);
-        w.u64(site.mispredictions);
-        w.u64(site.taken);
-    }
-    w.u64(regions_.size());
-    for (const auto &[k, cyc] : regions_) {
-        w.u64(k);
-        for (const uint64_t v : cyc)
-            w.u64(v);
-    }
-}
-
-void
-PmuData::loadState(CkptReader &r)
-{
-    stride_ = r.u64();
-    next_sample_at_ = r.u64();
-    compactions_ = r.u64();
-    finished_ = r.u8() != 0;
-    prev_cycles_end_ = r.u64();
-    for (uint64_t &v : prev_cycles_)
-        v = r.u64();
-    for (uint64_t &v : prev_counters_)
-        v = r.u64();
-    samples_.clear();
-    const uint64_t ns = r.u64();
-    for (uint64_t i = 0; i < ns; ++i) {
-        PmuSample s;
-        s.cycles_end = r.u64();
-        s.intervals = r.u64();
-        for (uint64_t &v : s.cycles)
-            v = r.u64();
-        for (uint64_t &v : s.counters)
-            v = r.u64();
-        samples_.push_back(s);
-    }
-    auto get_sites = [&r](std::map<uint64_t, EarSite> &m) {
-        m.clear();
-        const uint64_t n = r.u64();
-        for (uint64_t i = 0; i < n; ++i) {
-            const uint64_t k = r.u64();
-            EarSite site;
-            site.events = r.u64();
-            site.total_latency = r.u64();
-            site.attr_union = r.u32();
-            site.last_addr = r.u64();
-            m.emplace(k, site);
-        }
-    };
-    auto get_ring = [&r](std::vector<EarRecord> &ring, uint64_t &n) {
-        n = r.u64();
-        ring.clear();
-        const uint64_t sz = r.u64();
-        for (uint64_t i = 0; i < sz; ++i) {
-            EarRecord e;
-            e.addr = r.u64();
-            e.fid = static_cast<int32_t>(r.i64());
-            e.bid = static_cast<int32_t>(r.i64());
-            e.latency = static_cast<int32_t>(r.i64());
-            e.attrs = r.u32();
-            ring.push_back(e);
-        }
-    };
-    get_sites(dear_sites_);
-    get_ring(dear_ring_, dear_events_);
-    get_sites(iear_sites_);
-    get_ring(iear_ring_, iear_events_);
-    btb_count_ = r.u64();
-    btb_ring_.clear();
-    const uint64_t nb = r.u64();
-    for (uint64_t i = 0; i < nb; ++i) {
-        BtbRecord b;
-        b.paddr = r.u64();
-        b.fid = static_cast<int32_t>(r.i64());
-        b.bid = static_cast<int32_t>(r.i64());
-        b.taken = r.u8();
-        b.mispred = r.u8();
-        btb_ring_.push_back(b);
-    }
-    branch_profile_.clear();
-    const uint64_t np = r.u64();
-    for (uint64_t i = 0; i < np; ++i) {
-        const uint64_t paddr = r.u64();
-        BranchSite site;
-        site.fid = static_cast<int32_t>(r.i64());
-        site.bid = static_cast<int32_t>(r.i64());
-        site.predictions = r.u64();
-        site.mispredictions = r.u64();
-        site.taken = r.u64();
-        branch_profile_.emplace(paddr, site);
-    }
-    regions_.clear();
-    const uint64_t nr = r.u64();
-    for (uint64_t i = 0; i < nr; ++i) {
-        const uint64_t k = r.u64();
-        RegionCycles cyc{};
-        for (uint64_t &v : cyc)
-            v = r.u64();
-        regions_.emplace(k, cyc);
-    }
 }
 
 std::vector<std::string>

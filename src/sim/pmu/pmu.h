@@ -32,9 +32,7 @@
  *    totals.
  *
  * Everything here is off by default; when disabled the simulator pays
- * one predictable branch per hook site and allocates nothing. All PMU
- * state is serialized into simulator checkpoints, so a restored run
- * finishes with a byte-identical sample stream.
+ * one predictable branch per hook site and allocates nothing.
  */
 #ifndef EPIC_SIM_PMU_PMU_H
 #define EPIC_SIM_PMU_PMU_H
@@ -48,9 +46,6 @@
 #include "sim/perfmon.h"
 
 namespace epic {
-
-class CkptWriter;
-class CkptReader;
 
 /** Stable snake_case key for a cycle category (registry paths, JSONL
  *  sample records, trace counter args). */
@@ -77,6 +72,8 @@ struct PmuOptions
         return sample_every != 0 || ear_latency_min != 0 ||
                btb_depth != 0 || regions;
     }
+
+    bool operator==(const PmuOptions &) const = default;
 };
 
 /** Counter deltas carried by every interval sample (beyond the nine
@@ -113,6 +110,8 @@ struct PmuSample
     uint64_t intervals = 1;  ///< base strides merged into this sample
     std::array<uint64_t, Perfmon::kNumCats> cycles{};
     std::array<uint64_t, kNumPmuCounters> counters{};
+
+    bool operator==(const PmuSample &) const = default;
 };
 
 /** All PMU state collected during one timing run. */
@@ -149,6 +148,8 @@ class PmuData
         uint64_t total_latency = 0;
         uint32_t attr_union = 0; ///< OR of issue-group provenance attrs
         uint64_t last_addr = 0;
+
+        bool operator==(const EarSite &) const = default;
     };
     /** One raw captured miss (most recent kEarRingDepth kept). */
     struct EarRecord
@@ -158,6 +159,8 @@ class PmuData
         int32_t bid = -1;
         int32_t latency = 0;
         uint32_t attrs = 0;
+
+        bool operator==(const EarRecord &) const = default;
     };
     void recordDear(int fid, int bid, uint64_t addr, int latency,
                     uint32_t attrs);
@@ -187,6 +190,8 @@ class PmuData
         int32_t bid = -1;
         uint8_t taken = 0;
         uint8_t mispred = 0;
+
+        bool operator==(const BtbRecord &) const = default;
     };
     struct BranchSite
     {
@@ -195,6 +200,8 @@ class PmuData
         uint64_t predictions = 0;
         uint64_t mispredictions = 0;
         uint64_t taken = 0;
+
+        bool operator==(const BranchSite &) const = default;
     };
     void recordBranch(uint64_t paddr, int fid, int bid, bool taken,
                       bool mispred);
@@ -220,9 +227,8 @@ class PmuData
         return regions_;
     }
 
-    // ---- Checkpoint/restore ----
-    void saveState(CkptWriter &w) const;
-    void loadState(CkptReader &r);
+    /** Every member, sampler position and rings included. */
+    bool operator==(const PmuData &) const = default;
 
     // ---- Reconciliation ----
     /**

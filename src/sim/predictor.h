@@ -13,9 +13,6 @@
 
 namespace epic {
 
-class CkptReader;
-class CkptWriter;
-
 /** gshare direction predictor. */
 class BranchPredictor
 {
@@ -59,11 +56,6 @@ class BranchPredictor
     {
         btb_[addr] = target;
     }
-
-    /** Checkpoint history/counters/BTB (BTB in sorted address order so
-     *  identical predictor state yields an identical blob). */
-    void saveState(CkptWriter &w) const;
-    void loadState(CkptReader &r);
 
   private:
     uint32_t

@@ -10,7 +10,6 @@
 
 #include "sim/alat.h"
 #include "sim/caches.h"
-#include "sim/checkpoint.h"
 #include "sim/decode.h"
 #include "sim/exec_core.h"
 #include "sim/predictor.h"
@@ -107,34 +106,6 @@ class Dtlb
         index_.emplace(page, victim);
     }
 
-    /** Checkpoint the recency list LRU-first: replaying insert() in
-     *  that order reconstructs the exact replacement state. */
-    void
-    saveState(CkptWriter &w) const
-    {
-        std::vector<uint64_t> pages;
-        pages.reserve(slots_.size());
-        for (int s = tail_; s >= 0;
-             s = slots_[static_cast<size_t>(s)].prev)
-            pages.push_back(slots_[static_cast<size_t>(s)].page);
-        w.u64(pages.size());
-        for (const uint64_t p : pages)
-            w.u64(p);
-    }
-
-    void
-    loadState(CkptReader &r)
-    {
-        slots_.clear();
-        index_.clear();
-        head_ = tail_ = -1;
-        const uint64_t n = r.u64();
-        epic_assert(n <= static_cast<uint64_t>(cap_),
-                    "checkpoint DTLB geometry mismatch");
-        for (uint64_t i = 0; i < n; ++i)
-            insert(r.u64());
-    }
-
   private:
     struct Slot
     {
@@ -214,11 +185,6 @@ simulate(Program &prog, Memory &mem, const TimingOptions &opts)
             res.fail(RunStatus::Faulted,
                      "sampled mode requires ff_functional and "
                      "detail_window > 0");
-            return res;
-        }
-        if (opts.resume_from) {
-            res.fail(RunStatus::Faulted,
-                     "sampled mode cannot resume from a checkpoint");
             return res;
         }
     }
@@ -312,7 +278,7 @@ simulate(Program &prog, Memory &mem, const TimingOptions &opts)
     frame_stacked.push_back(entry_fn->stacked_regs);
     // Cached top-of-stack pointers (deque references are stable until
     // the element itself is popped): saves two deque::back() chases
-    // per group; refreshed at call/return/restore.
+    // per group; refreshed at call/return.
     Frame *cur_frame = &frames.back();
     TFrame *cur_tf = &tframes.back();
 
@@ -349,14 +315,16 @@ simulate(Program &prog, Memory &mem, const TimingOptions &opts)
     // Store ring for micropipe: the 16 most recent stores (cycle,
     // address). Whether a load is charged does not depend on which
     // in-window entry matches, so scan order is free and a plain
-    // cyclic overwrite array suffices.
+    // cyclic overwrite array suffices. The scan reads only the first
+    // min(store_count, 16) slots; the ring is still zeroed (once per
+    // run) so no slot ever holds an indeterminate value.
     struct StoreRec
     {
         int64_t cyc;
         uint64_t addr;
     };
-    StoreRec store_ring[16] = {}; ///< zeroed: checkpoints serialize it
-    uint32_t store_count = 0;     ///< total stores pushed so far
+    StoreRec store_ring[16] = {};
+    uint32_t store_count = 0; ///< total stores pushed so far
 
     Function *fn = entry_fn;
     const DecodedFunction *dfn = &dec.func(fn->id);
@@ -478,240 +446,10 @@ simulate(Program &prog, Memory &mem, const TimingOptions &opts)
         head_done = true;
     };
 
-    // ---- Checkpoint/restore (sim/checkpoint.h) ----
-    // The entire loop state above is serialized at a deterministic
-    // retired-op boundary; restore rebuilds it exactly, so the resumed
-    // run's counters finish byte-identical to an uninterrupted one.
+    // Retired (useful + squashed) ops: the deterministic clock for the
+    // hang, ALAT-corruption and sampled-phase boundaries.
     auto retiredOps = [&]() { return pm.useful_ops + pm.squashed_ops; };
 
-    auto saveCheckpoint = [&](SimCheckpoint &ck) {
-        CkptWriter w;
-        mem.saveState(w);
-        hier.saveState(w);
-        pred.saveState(w);
-        dtlb.saveState(w);
-        alat.saveState(w);
-        saveState(w, pm);
-        w.u64(frames.size());
-        for (const Frame &f : frames) {
-            w.i64(f.fn->id);
-            w.u64(f.gr.size());
-            for (const GrVal &g : f.gr) {
-                w.i64(g.v);
-                w.u8(g.nat ? 1 : 0);
-            }
-            w.u64(f.fr.size());
-            for (const double d : f.fr)
-                w.f64(d);
-            w.u64(f.pr.size());
-            w.raw(f.pr.data(), f.pr.size());
-            w.i64(f.ret_block);
-            w.i64(f.ret_pos);
-            w.u8(static_cast<uint8_t>(f.ret_dest.cls));
-            w.i64(f.ret_dest.id);
-            w.u64(f.sp);
-        }
-        w.u64(tframes.size());
-        for (const TFrame &t : tframes) {
-            auto put = [&w](const std::vector<RegT> &v) {
-                w.u64(v.size());
-                for (const RegT &rt : v) {
-                    w.i64(rt.ready);
-                    w.i64(rt.planned);
-                    w.u8(rt.f_unit);
-                    w.u8(rt.load);
-                }
-            };
-            put(t.gr);
-            put(t.fr);
-            w.u64(t.ready_pr.size());
-            for (const int64_t p : t.ready_pr)
-                w.i64(p);
-        }
-        w.u64(frame_stacked.size());
-        for (const int s : frame_stacked)
-            w.i64(s);
-        w.u64(ret_stack.size());
-        for (const RetPos &rp : ret_stack) {
-            w.i64(rp.block);
-            w.u64(rp.group);
-        }
-        w.i64(rse_logical);
-        w.i64(rse_spilled);
-        for (const StoreRec &sr : store_ring) {
-            w.i64(sr.cyc);
-            w.u64(sr.addr);
-        }
-        w.u32(store_count);
-        w.u64(issue_hist.size());
-        for (const int64_t t : issue_hist)
-            w.i64(t);
-        w.u64(hist_n);
-        w.u64(hist_head);
-        w.i64(fe_time);
-        w.i64(t_prev);
-        w.u64(safety);
-        w.u64(cycles_total);
-        w.i64(fn->id);
-        w.i64(bb->id);
-        w.u64(gi);
-        w.u8(sampled ? 1 : 0);
-        if (sampled) {
-            w.u8(sphase);
-            w.u8(head_done ? 1 : 0);
-            w.u64(next_switch);
-            w.u64(phase_start_ops);
-            w.u64(sampled_windows);
-            w.u64(head_ops);
-            w.u64(meas_ops_acc);
-            for (int c = 0; c < Perfmon::kNumCats; ++c) {
-                w.u64(meas_base[static_cast<size_t>(c)]);
-                w.u64(head_cycles[static_cast<size_t>(c)]);
-                w.u64(meas_cycles[static_cast<size_t>(c)]);
-            }
-        }
-        w.u8(pmu_p ? 1 : 0);
-        if (pmu_p)
-            pmu_p->saveState(w);
-        ck.data = w.take();
-        ck.instrs = retiredOps();
-    };
-
-    auto restoreCheckpoint = [&](const SimCheckpoint &ck) {
-        CkptReader r(ck.data);
-        mem.loadState(r);
-        hier.loadState(r);
-        pred.loadState(r);
-        dtlb.loadState(r);
-        alat.loadState(r);
-        loadState(r, pm);
-        frames.clear();
-        const uint64_t nframes = r.u64();
-        for (uint64_t i = 0; i < nframes; ++i) {
-            Function *ffn = prog.func(static_cast<int>(r.i64()));
-            epic_assert(ffn, "checkpoint frame for missing function");
-            frames.emplace_back(ffn, 0);
-            Frame &f = frames.back();
-            f.gr.resize(r.u64());
-            for (GrVal &g : f.gr) {
-                g.v = r.i64();
-                g.nat = r.u8() != 0;
-            }
-            f.fr.resize(r.u64());
-            for (double &d : f.fr)
-                d = r.f64();
-            f.pr.resize(r.u64());
-            r.raw(f.pr.data(), f.pr.size());
-            f.ret_block = static_cast<int>(r.i64());
-            f.ret_pos = static_cast<int>(r.i64());
-            f.ret_dest.cls = static_cast<RegClass>(r.u8());
-            f.ret_dest.id = static_cast<int32_t>(r.i64());
-            f.sp = r.u64();
-        }
-        tframes.clear();
-        const uint64_t ntf = r.u64();
-        for (uint64_t i = 0; i < ntf; ++i) {
-            tframes.emplace_back(0, 0, 0);
-            TFrame &t = tframes.back();
-            auto get = [&r](std::vector<RegT> &v) {
-                v.resize(r.u64());
-                for (RegT &rt : v) {
-                    rt.ready = r.i64();
-                    rt.planned = r.i64();
-                    rt.f_unit = r.u8();
-                    rt.load = r.u8();
-                }
-            };
-            get(t.gr);
-            get(t.fr);
-            t.ready_pr.resize(r.u64());
-            for (int64_t &p : t.ready_pr)
-                p = r.i64();
-        }
-        frame_stacked.clear();
-        const uint64_t nstk = r.u64();
-        for (uint64_t i = 0; i < nstk; ++i)
-            frame_stacked.push_back(static_cast<int>(r.i64()));
-        ret_stack.clear();
-        const uint64_t nret = r.u64();
-        for (uint64_t i = 0; i < nret; ++i) {
-            RetPos rp;
-            rp.block = static_cast<int>(r.i64());
-            rp.group = static_cast<uint32_t>(r.u64());
-            ret_stack.push_back(rp);
-        }
-        rse_logical = r.i64();
-        rse_spilled = r.i64();
-        for (StoreRec &sr : store_ring) {
-            sr.cyc = r.i64();
-            sr.addr = r.u64();
-        }
-        store_count = r.u32();
-        const uint64_t nh = r.u64();
-        epic_assert(nh == issue_hist.size(),
-                    "checkpoint machine-config mismatch");
-        for (int64_t &t : issue_hist)
-            t = r.i64();
-        hist_n = r.u64();
-        hist_head = r.u64();
-        fe_time = r.i64();
-        t_prev = r.i64();
-        safety = r.u64();
-        cycles_total = r.u64();
-        const int cur_fn = static_cast<int>(r.i64());
-        const int cur_bb = static_cast<int>(r.i64());
-        gi = static_cast<uint32_t>(r.u64());
-        const bool had_sampled = r.u8() != 0;
-        epic_assert(had_sampled == sampled,
-                    "checkpoint sim-mode mismatch");
-        if (sampled) {
-            sphase = r.u8();
-            in_detail = sphase != 2;
-            head_done = r.u8() != 0;
-            next_switch = r.u64();
-            phase_start_ops = r.u64();
-            sampled_windows = r.u64();
-            head_ops = r.u64();
-            meas_ops_acc = r.u64();
-            for (int c = 0; c < Perfmon::kNumCats; ++c) {
-                meas_base[static_cast<size_t>(c)] = r.u64();
-                head_cycles[static_cast<size_t>(c)] = r.u64();
-                meas_cycles[static_cast<size_t>(c)] = r.u64();
-            }
-        }
-        const bool had_pmu = r.u8() != 0;
-        epic_assert(had_pmu == (pmu_p != nullptr),
-                    "checkpoint PMU-config mismatch");
-        if (pmu_p)
-            pmu_p->loadState(r);
-        r.expectEnd();
-        fn = prog.func(cur_fn);
-        epic_assert(fn, "checkpoint resumes missing function");
-        dfn = &dec.func(fn->id);
-        gdi_base = dfn->ginstrs();
-        gaddr_base = dfn->gaddrs();
-        gline_base = dfn->glines();
-        bb = fn->block(cur_bb);
-        epic_assert(bb, "checkpoint resumes missing block");
-        db = &dfn->block(bb->id);
-        func_cyc = nullptr;
-        func_cyc_id = -1;
-        region_cyc = nullptr;
-        region_fid = region_bid = -1;
-        cur_frame = &frames.back();
-        cur_tf = &tframes.back();
-        pmu_next = pmu_p ? pmu_p->nextSampleAt() : ~0ull;
-    };
-
-    if (opts.resume_from && opts.resume_from->valid())
-        restoreCheckpoint(*opts.resume_from);
-
-    const bool ckpt_enabled =
-        opts.checkpoint_every != 0 && opts.checkpoint_out != nullptr;
-    uint64_t next_ckpt =
-        ckpt_enabled ? (retiredOps() / opts.checkpoint_every + 1) *
-                           opts.checkpoint_every
-                     : ~0ull;
     bool hang_pending = opts.hang_at_instr != 0;
     bool alat_corrupt_pending = opts.corrupt_alat;
     uint32_t sup_poll = 0;
@@ -725,8 +463,8 @@ simulate(Program &prog, Memory &mem, const TimingOptions &opts)
     // instantiation enables everything and is statement-for-statement
     // the historical per-op path, so specialization is a pure dispatch
     // change — golden counters stay byte-identical in detailed mode.
-    // Supervision, checkpoint, PMU and sampled-phase boundaries all
-    // remain in the caller: exactly one boundary poll per group.
+    // Supervision, PMU and sampled-phase boundaries all remain in the
+    // caller: exactly one boundary poll per group.
     const bool force_generic = opts.force_generic_kernels;
     auto run_group = [&](auto shape_c,
                          const DecodedGroup &group) -> GroupExit {
@@ -1455,14 +1193,6 @@ simulate(Program &prog, Memory &mem, const TimingOptions &opts)
             retiredOps() >= 1000) {
             alat_corrupt_pending = false;
             alat.corruptOne();
-        }
-
-        // Deterministic checkpoint boundary (retired-op multiples).
-        if (__builtin_expect(ckpt_enabled, 0) &&
-            retiredOps() >= next_ckpt) {
-            saveCheckpoint(*opts.checkpoint_out);
-            next_ckpt = (retiredOps() / opts.checkpoint_every + 1) *
-                        opts.checkpoint_every;
         }
 
         // PMU interval-sample boundary (cycle multiples; pmu_next is

@@ -35,8 +35,6 @@
 
 namespace epic {
 
-struct SimCheckpoint;
-
 /** OS support model for control speculation. */
 enum class SpecModel { General, Sentinel };
 
@@ -104,18 +102,6 @@ struct TimingOptions
     /// boundaries only while supervision is armed; the disarmed cost is
     /// one relaxed load per group.
     int64_t deadline_ns = 0;
-
-    // ---- Checkpoint/restore (sim/checkpoint.h) ----
-    /// Snapshot the full machine + loop state into *checkpoint_out each
-    /// time the retired-op count crosses a multiple of this (0 = never).
-    /// The boundary is deterministic: restore-then-run finishes with
-    /// counters byte-identical to the uninterrupted run.
-    uint64_t checkpoint_every = 0;
-    SimCheckpoint *checkpoint_out = nullptr;
-    /// Start from this checkpoint instead of program entry. The same
-    /// compiled program must be passed; `mem` contents are replaced by
-    /// the checkpointed image.
-    const SimCheckpoint *resume_from = nullptr;
 
     // ---- Chaos injection (support/faultinject.h drives these) ----
     /// Injected hang: once retired ops reach `hang_at_instr` (> 0),

@@ -102,9 +102,6 @@ struct SupervisionOptions
     /// Degradation ladder: detailed -> functional-only -> skip. When
     /// off, a failed detailed sim is reported as-is (legacy behaviour).
     bool ladder = true;
-    /// Detailed-sim checkpoint interval in retired (useful+squashed)
-    /// ops; 0 = no checkpointing.
-    uint64_t checkpoint_every = 0;
 };
 
 } // namespace epic

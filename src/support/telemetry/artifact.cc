@@ -11,7 +11,7 @@
 
 namespace epic {
 
-const char *const kRunSchemaVersion = "epiclab.run.v2";
+const char *const kRunSchemaVersion = "epiclab.run.v3";
 const char *const kSamplesSchemaVersion = "epiclab.samples.v2";
 
 namespace {
@@ -378,10 +378,6 @@ recordSupervision(StatsRegistry &reg, const ConfigRun &r)
     for (const char *rung : {"detailed", "functional", "skipped"})
         reg.setInt(std::string("supervision.rung.") + rung,
                    std::strcmp(r.sim_rung, rung) == 0 ? 1 : 0);
-    reg.setInt("supervision.checkpoint_instrs",
-               static_cast<int64_t>(r.ckpt_instrs));
-    reg.setInt("supervision.checkpoint_bytes",
-               static_cast<int64_t>(r.ckpt_bytes));
 }
 
 StatsRegistry

@@ -98,8 +98,8 @@ void recordSampled(StatsRegistry &reg, const SampledStats &s);
 void recordFallback(StatsRegistry &reg, const FallbackReport &fb);
 
 /**
- * Register supervision outcome under `supervision.*`: attempts, status,
- * ladder rung and checkpoint size. An unsupervised run records one
+ * Register supervision outcome under `supervision.*`: attempts, status
+ * and ladder rung. An unsupervised run records one
  * detailed attempt, the same values as a clean supervised one.
  */
 void recordSupervision(StatsRegistry &reg, const ConfigRun &r);

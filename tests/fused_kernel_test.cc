@@ -16,7 +16,6 @@
 #include <string>
 
 #include "driver/compiler.h"
-#include "sim/checkpoint.h"
 #include "sim/decode.h"
 #include "sim/interp.h"
 #include "sim/timing.h"
@@ -25,15 +24,6 @@
 
 namespace epic {
 namespace {
-
-/** Serialize a Perfmon: blob equality is full-counter equality. */
-std::string
-pmBlob(const Perfmon &pm)
-{
-    CkptWriter w;
-    saveState(w, pm);
-    return w.take();
-}
 
 /** Profile + compile one workload once (tests run two sims per build). */
 Compiled
@@ -89,18 +79,34 @@ TEST_P(FusedKernelParityTest, SpecializedMatchesGenericExactly)
     ASSERT_NE(w, nullptr);
     Compiled c = buildCompiled(*w, cfg);
 
-    TimingOptions fused;
-    TimingOptions generic;
-    generic.force_generic_kernels = true;
-    TimingResult rf = runSim(*w, c, fused);
-    TimingResult rg = runSim(*w, c, generic);
-    ASSERT_TRUE(rf.ok) << rf.error;
-    ASSERT_TRUE(rg.ok) << rg.error;
+    // Once with the PMU off (the golden-counter path) and once with
+    // every PMU hook armed, since those hooks live inside the kernels.
+    PmuOptions full_pmu;
+    full_pmu.sample_every = 50'000;
+    full_pmu.ear_latency_min = 10;
+    full_pmu.btb_depth = 16;
+    full_pmu.regions = true;
+    for (const PmuOptions &pmu : {PmuOptions{}, full_pmu}) {
+        SCOPED_TRACE(pmu.enabled() ? "PMU armed" : "PMU off");
+        TimingOptions fused;
+        fused.pmu = pmu;
+        TimingOptions generic = fused;
+        generic.force_generic_kernels = true;
+        TimingResult rf = runSim(*w, c, fused);
+        TimingResult rg = runSim(*w, c, generic);
+        ASSERT_TRUE(rf.ok) << rf.error;
+        ASSERT_TRUE(rg.ok) << rg.error;
 
-    // Same architected result and byte-identical Perfmon — every cycle
-    // category, counter and histogram, not a spot check.
-    EXPECT_EQ(rf.ret_value, rg.ret_value);
-    EXPECT_EQ(pmBlob(rf.pm), pmBlob(rg.pm));
+        // Same architected result and identical Perfmon and PMU state —
+        // every cycle category, counter, sample, EAR, branch record and
+        // region, not a spot check.
+        EXPECT_EQ(rf.ret_value, rg.ret_value);
+        EXPECT_TRUE(rf.pm == rg.pm);
+        ASSERT_EQ(rf.pmu == nullptr, rg.pmu == nullptr);
+        if (rf.pmu) {
+            EXPECT_TRUE(*rf.pmu == *rg.pmu);
+        }
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -184,7 +190,7 @@ TEST(FusedKernelTest, CycleBudgetTripsAtSameGroupBoundary)
     ASSERT_FALSE(rg.ok);
     EXPECT_EQ(rf.status, RunStatus::BudgetExceeded);
     EXPECT_EQ(rf.error, rg.error);
-    EXPECT_EQ(pmBlob(rf.pm), pmBlob(rg.pm));
+    EXPECT_TRUE(rf.pm == rg.pm);
 }
 
 TEST(FusedKernelTest, ExpiredDeadlineTripsIdentically)
@@ -210,7 +216,7 @@ TEST(FusedKernelTest, ExpiredDeadlineTripsIdentically)
     ASSERT_FALSE(rg.ok);
     EXPECT_EQ(rf.status, RunStatus::Deadline);
     EXPECT_EQ(rg.status, RunStatus::Deadline);
-    EXPECT_EQ(pmBlob(rf.pm), pmBlob(rg.pm));
+    EXPECT_TRUE(rf.pm == rg.pm);
 }
 
 // ---------------------------------------------------------------------

@@ -1,9 +1,8 @@
 /**
  * @file
  * Run-supervision layer tests (DESIGN.md §15): structured budget
- * exhaustion, cooperative deadlines and stop requests, simulator
- * checkpoint/restore golden-counter identity, crash-safe artifact and
- * manifest I/O, and the thread pool's failure discipline.
+ * exhaustion, cooperative deadlines and stop requests, crash-safe
+ * artifact and manifest I/O, and the thread pool's failure discipline.
  *
  * The overarching claim under test: a runaway, faulted or interrupted
  * task is a *categorized experiment outcome* — never a process abort,
@@ -26,7 +25,6 @@
 #include "driver/experiment.h"
 #include "ir/builder.h"
 #include "support/arena.h"
-#include "sim/checkpoint.h"
 #include "sim/interp.h"
 #include "sim/perfmon.h"
 #include "sim/timing.h"
@@ -314,97 +312,6 @@ TEST(SupervisionTest, TimingDeadlineReclaimsInjectedHang)
     EXPECT_EQ(r.status, RunStatus::Deadline);
     // ...but the watchdog deadline reclaimed it within ~300 ms.
     EXPECT_LT(elapsed_ms, 10'000);
-}
-
-// ---------------------------------------------------------------------
-// Checkpoint/restore.
-// ---------------------------------------------------------------------
-
-/** Serialize a Perfmon to bytes (blob equality == counter equality). */
-std::string
-pmBlob(const Perfmon &pm)
-{
-    CkptWriter cw;
-    saveState(cw, pm);
-    return cw.take();
-}
-
-TEST(SupervisionTest, CheckpointRestoreGoldenCountersByteIdentical)
-{
-    const Workload *w = findWorkload("164.gzip");
-    ASSERT_NE(w, nullptr);
-    auto prog = w->build();
-    prog->layoutData();
-    {
-        Memory mem;
-        mem.initFromProgram(*prog);
-        w->write_input(*prog, mem, InputKind::Train);
-        ASSERT_TRUE(profileRun(*prog, mem).ok);
-    }
-    Compiled c = compileProgram(*prog, Config::IlpCs);
-
-    // Uninterrupted reference run, checkpointing along the way.
-    SimCheckpoint ck;
-    TimingResult full;
-    {
-        Memory mem;
-        mem.initFromProgram(*c.prog);
-        w->write_input(*c.prog, mem, InputKind::Ref);
-        TimingOptions topts;
-        topts.checkpoint_every = 200'000;
-        topts.checkpoint_out = &ck;
-        full = simulate(*c.prog, mem, topts);
-        ASSERT_TRUE(full.ok) << full.error;
-        ASSERT_TRUE(ck.valid());
-        ASSERT_GT(ck.instrs, 0u);
-    }
-
-    // Restore-then-run must finish with byte-identical golden counters.
-    Memory mem;
-    mem.initFromProgram(*c.prog);
-    w->write_input(*c.prog, mem, InputKind::Ref);
-    TimingOptions topts;
-    topts.resume_from = &ck;
-    TimingResult resumed = simulate(*c.prog, mem, topts);
-    ASSERT_TRUE(resumed.ok) << resumed.error;
-    EXPECT_EQ(resumed.ret_value, full.ret_value);
-    EXPECT_EQ(pmBlob(resumed.pm), pmBlob(full.pm));
-}
-
-TEST(SupervisionDeathTest, CorruptCheckpointPanics)
-{
-    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-    const Workload *w = findWorkload("164.gzip");
-    ASSERT_NE(w, nullptr);
-    auto prog = w->build();
-    prog->layoutData();
-    {
-        Memory mem;
-        mem.initFromProgram(*prog);
-        w->write_input(*prog, mem, InputKind::Train);
-        ASSERT_TRUE(profileRun(*prog, mem).ok);
-    }
-    Compiled c = compileProgram(*prog, Config::Gcc);
-    SimCheckpoint ck;
-    {
-        Memory mem;
-        mem.initFromProgram(*c.prog);
-        w->write_input(*c.prog, mem, InputKind::Ref);
-        TimingOptions topts;
-        topts.checkpoint_every = 200'000;
-        topts.checkpoint_out = &ck;
-        ASSERT_TRUE(simulate(*c.prog, mem, topts).ok);
-        ASSERT_TRUE(ck.valid());
-    }
-    // Truncate the blob: restoring half a machine state must panic,
-    // never silently poison downstream counters.
-    ck.data.resize(ck.data.size() / 2);
-    Memory mem;
-    mem.initFromProgram(*c.prog);
-    w->write_input(*c.prog, mem, InputKind::Ref);
-    TimingOptions topts;
-    topts.resume_from = &ck;
-    EXPECT_DEATH(simulate(*c.prog, mem, topts), "checkpoint");
 }
 
 // ---------------------------------------------------------------------
